@@ -19,6 +19,7 @@ import numpy as np
 
 from .conditioning import butterworth_bandpass, detect_lines, whiten_full, whiten_localized
 from .detection import (
+    SNR_THRESHOLD,
     MfConfig,
     decorrelation_time,
     matched_filter,
@@ -108,8 +109,8 @@ def _cmd_noise(args) -> int:
 
 def _cmd_template(args) -> int:
     tpl = stock_template(args.kind, args.fs)
-    paths = save_template(tpl, os.path.join(args.out, args.kind))
     os.makedirs(args.out, exist_ok=True)
+    paths = save_template(tpl, os.path.join(args.out, args.kind))
     for p in paths:
         print(p)
     return 0
@@ -193,7 +194,7 @@ def _cmd_mf(args) -> int:
         "peak_rho": float(np.max(snr.rho)),
         "sigma": snr.sigma,
         "mode": snr.mode,
-        "fired": snr.peak.value > 5.0,
+        "fired": snr.peak.value > SNR_THRESHOLD,
     }, _out_path(args, "mf_summary.json"))
     return 0
 

@@ -13,6 +13,25 @@ discards the prefixed region afterwards, which makes the output equal a
 direct time-domain linear correlation of the strain with the whitened
 template kernel.
 
+The chi-squared veto (Allen, gr-qc/0405045) splits the filtered bins into
+N bands of equal template power, whose SNR series z_i sum to z, and
+measures sum_i |z_i - z/N|^2.  Because the bands partition the bins,
+
+    sum_i |z_i - z/N|^2 = sum_i |z_i|^2 - |z|^2 / N,
+
+and in ``circular`` mode sum_i |z_i(t)|^2 is the Fourier series of the
+summed spectral autocorrelations of each band's slice of
+4 s~ h~* / S_n.  Each autocorrelation costs two FFTs of about twice the
+band width, and the sum one real inverse transform of length n, so a
+filtered block costs three length-n transforms (strain, z, band power)
+instead of the N + 2 that one inverse transform per band needs.  The
+subtraction makes the round-off absolute, of order eps * rho^2; it can
+only show where the reduced chi-squared is far below 1, which leaves the
+reweighted SNR unchanged.  ``cyclic_prefix`` keeps one filter per band,
+since its bands sit on the template grid.  The template-side work is
+planned once and reused while template, PSD, configuration and block
+shape stay the same.
+
 The short-window path is a normalized time-domain cross-correlation:
 both windows are scaled to unit energy so self-correlation is exactly 1
 at zero lag, and peakiness is judged by the ratio R3 of the largest
@@ -28,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.signal
+from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
 from .series import PowerSpectrum, TimeSeries
@@ -192,40 +212,47 @@ def _band_mask(n_onesided: int, df: float, band) -> np.ndarray:
     return mask
 
 
-class _MfPlan:
-    """Shared state for one matched-filter evaluation."""
+def _check_block(strain: TimeSeries, template: TimeSeries, cfg: MfConfig) -> None:
+    if abs(strain.fs - template.fs) > 1e-9 * strain.fs:
+        raise ValidationError(
+            f"sample-rate mismatch: strain {strain.fs} Hz, template {template.fs} Hz"
+        )
+    n, nt = strain.n, template.n
+    if nt > n:
+        raise ValidationError(f"template ({nt} samples) longer than strain ({n})")
+    if cfg.block_len is not None:
+        block_samples = cfg.block_len * strain.fs
+        if abs(block_samples - round(block_samples)) > 1e-6:
+            raise ValidationError(
+                f"block_len * fs must be an integer sample count, got {block_samples}"
+            )
+        if int(round(block_samples)) != n:
+            raise ValidationError(
+                f"strain holds {n} samples but block_len asks for "
+                f"{int(round(block_samples))}"
+            )
+    if n < 2 * nt:
+        raise ValidationError(
+            f"block must be at least twice the template length ({n} < {2 * nt})"
+        )
 
-    def __init__(self, strain: TimeSeries, template: TimeSeries, psd: PowerSpectrum,
-                 cfg: MfConfig):
-        if abs(strain.fs - template.fs) > 1e-9 * strain.fs:
-            raise ValidationError(
-                f"sample-rate mismatch: strain {strain.fs} Hz, template {template.fs} Hz"
-            )
-        n, nt = strain.n, template.n
-        if nt > n:
-            raise ValidationError(f"template ({nt} samples) longer than strain ({n})")
-        if cfg.block_len is not None:
-            block_samples = cfg.block_len * strain.fs
-            if abs(block_samples - round(block_samples)) > 1e-6:
-                raise ValidationError(
-                    f"block_len * fs must be an integer sample count, got {block_samples}"
-                )
-            if int(round(block_samples)) != n:
-                raise ValidationError(
-                    f"strain holds {n} samples but block_len asks for "
-                    f"{int(round(block_samples))}"
-                )
-        if n < 2 * nt:
-            raise ValidationError(
-                f"block must be at least twice the template length ({n} < {2 * nt})"
-            )
-        self.strain = strain
-        self.template = template
+
+class _MfPlan:
+    """Strain-independent state of the matched filter for one block shape.
+
+    Template spectrum, PSD on the filter grid, band mask, <h|h> weights,
+    the in-band conjugate template and PSD and, when reweighting, the
+    chi-squared band bounds.  Depends only on (template, PSD, cfg, block
+    length, rate).
+    """
+
+    def __init__(self, template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
+                 n: int, fs: float):
         self.cfg = cfg
-        self.fs = strain.fs
-        self.dt = 1.0 / strain.fs
+        self.fs = fs
+        self.dt = 1.0 / fs
         self.n = n
-        self.nt = nt
+        self.nt = nt = template.n
 
         if cfg.mode == "circular":
             self.grid_n = n
@@ -245,53 +272,111 @@ class _MfPlan:
         self.hh = float(np.sum(self.weights))
         if self.hh <= 0.0:
             raise DegeneracyError("template has no in-band power; <h|h> is zero")
-
+        self.sel = np.where(self.mask)[0]
         if cfg.mode == "circular":
-            self._strain_fft = np.fft.rfft(strain.samples) * self.dt
+            self.hconj_sel = np.conj(self.htilde[self.sel])
+            self.psd_sel = self.psd_grid[self.sel]
             self.out_len = n
         else:
-            prefixed = np.concatenate([strain.samples[n - nt:], strain.samples])
-            self._block_fft = np.fft.fft(prefixed)
-            self._block_len = n + nt
             self.out_len = n - nt + 1
 
-    def snr_complex(self, bin_mask: np.ndarray | None = None) -> np.ndarray:
-        """Complex matched-filter series over the output lags."""
-        mask = self.mask if bin_mask is None else (self.mask & bin_mask)
+        if cfg.reweight_bins is not None:
+            n_bins = cfg.reweight_bins
+            cum = np.cumsum(self.weights) / self.hh
+            edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
+            self.bounds = np.concatenate([[0], edges + 1, [self.weights.size]])
+            if np.any(np.diff(self.bounds) < 1):
+                raise DegeneracyError(
+                    f"template power too concentrated to build {n_bins} chi-squared bands"
+                )
+            # (first in-mask bin, width to the last one, autocorrelation FFT
+            # length) per band; q is zero outside the mask
+            self.band_spans = []
+            for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+                inside = self.sel[(self.sel >= lo) & (self.sel < hi)]
+                if inside.size:
+                    w = int(inside[-1] - inside[0]) + 1
+                    self.band_spans.append((int(inside[0]), w, next_fast_len(2 * w - 1)))
+
+    def snr_complex(self, strain: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+        """Complex matched-filter series over the output lags, plus the
+        strain-side spectrum that :meth:`chi2_reduced` needs."""
+        n, nt = self.n, self.nt
         if self.cfg.mode == "circular":
-            q = np.zeros(self.n, dtype=np.complex128)
-            sel = np.where(mask)[0]
-            q[sel] = 4.0 * self._strain_fft[sel] * np.conj(self.htilde[sel]) / self.psd_grid[sel]
-            return np.fft.ifft(q) * (self.n * self.grid_df)
+            strain_fft = np.fft.rfft(strain.samples) * self.dt
+            q = np.zeros(n, dtype=np.complex128)
+            q[self.sel] = 4.0 * strain_fft[self.sel] * self.hconj_sel / self.psd_sel
+            return np.fft.ifft(q) * (n * self.grid_df), q
+        prefixed = np.concatenate([strain.samples[n - nt:], strain.samples])
+        block_fft = np.fft.fft(prefixed)
+        return self._prefixed_snr(block_fft, self.mask), block_fft
+
+    def _prefixed_snr(self, block_fft: np.ndarray, mask: np.ndarray) -> np.ndarray:
         # cyclic prefix: correlate against the whitened-template kernel,
         # whose support is exactly the template length
         g_freq = np.zeros(self.nt, dtype=np.complex128)
         sel = np.where(mask)[0]
         g_freq[sel] = self.htilde[sel] / self.psd_grid[sel]
         kernel = np.fft.ifft(g_freq) * (self.nt * self.grid_df)
-        padded = np.zeros(self._block_len, dtype=np.complex128)
+        padded = np.zeros(self.n + self.nt, dtype=np.complex128)
         padded[:self.nt] = kernel
-        corr = np.fft.ifft(self._block_fft * np.conj(np.fft.fft(padded)))
+        corr = np.fft.ifft(block_fft * np.conj(np.fft.fft(padded)))
         return 4.0 * self.dt * corr[self.nt:self.nt + self.out_len]
 
-    def chi2_reduced(self, z: np.ndarray, n_bins: int) -> np.ndarray:
+    def chi2_reduced(self, z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Power chi-squared over equal-template-power bands, per output lag."""
-        cum = np.cumsum(self.weights) / self.hh
-        edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
-        bounds = np.concatenate([[0], edges + 1, [self.weights.size]])
-        if np.any(np.diff(bounds) < 1):
-            raise DegeneracyError(
-                f"template power too concentrated to build {n_bins} chi-squared bands"
-            )
-        chi2 = np.zeros(self.out_len)
-        expected = z / n_bins
-        for i in range(n_bins):
-            bin_mask = np.zeros(self.weights.size, dtype=bool)
-            bin_mask[bounds[i]:bounds[i + 1]] = True
-            z_i = self.snr_complex(bin_mask)
-            chi2 += np.abs(z_i - expected) ** 2
+        n_bins = self.cfg.reweight_bins
+        if self.cfg.mode == "circular":
+            dev2 = self._band_power(spectrum) - (z.real ** 2 + z.imag ** 2) / n_bins
+            chi2 = np.maximum(dev2, 0.0)  # clamp round-off below zero
+        else:
+            chi2 = np.zeros(self.out_len)
+            expected = z / n_bins
+            for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+                bin_mask = np.zeros(self.weights.size, dtype=bool)
+                bin_mask[lo:hi] = True
+                z_i = self._prefixed_snr(spectrum, self.mask & bin_mask)
+                chi2 += np.abs(z_i - expected) ** 2
         chi2 *= n_bins / self.hh
         return chi2 / (2 * n_bins - 2)
+
+    def _band_power(self, q: np.ndarray) -> np.ndarray:
+        """sum_i |z_i(t)|^2 over the chi-squared bands, from one length-n iFFT.
+
+        |z_i|^2 is the Fourier series of band i's spectral autocorrelation;
+        each band is narrower than n/2 bins, so its lags fit the one-sided
+        half-spectrum of a real length-n transform without aliasing.
+        """
+        acf = np.zeros(self.n // 2 + 1, dtype=np.complex128)
+        for lo, w, size in self.band_spans:
+            spec = np.fft.fft(q[lo:lo + w], size)
+            # ihfft of a real sequence is its ifft at lags 0..size//2
+            acf[:w] += np.fft.ihfft(spec.real ** 2 + spec.imag ** 2)[:w]
+        scale = self.n * self.grid_df
+        return np.fft.irfft(acf, self.n) * (scale * scale / self.n)
+
+
+_last_plan: tuple | None = None
+
+
+def _plan_for(template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
+              n: int, fs: float) -> _MfPlan:
+    """The last plan if it was built from these inputs, else a new one.
+
+    Exact reuse: the template and PSD are frozen and own read-only copies
+    of their arrays, so the same objects always hold the same values.  The
+    entry is an immutable tuple swapped whole, so threads at worst rebuild.
+    """
+    global _last_plan
+    last = _last_plan
+    if last is not None:
+        last_tpl, last_psd, last_cfg, last_n, last_fs, plan = last
+        if (last_tpl is template and last_psd is psd and last_cfg == cfg
+                and last_n == n and last_fs == fs):
+            return plan
+    plan = _MfPlan(template, psd, cfg, n, fs)
+    _last_plan = (template, psd, cfg, n, fs, plan)
+    return plan
 
 
 def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
@@ -332,13 +417,14 @@ def matched_filter(
     the template fully overlaps the strain and equals direct time-domain
     linear correlation there.
     """
-    plan = _MfPlan(strain, template, psd, cfg)
-    z = plan.snr_complex()
+    _check_block(strain, template, cfg)
+    plan = _plan_for(template, psd, cfg, strain.n, strain.fs)
+    z, spectrum = plan.snr_complex(strain)
     sigma = math.sqrt(plan.hh)
     rho = np.abs(z) / sigma
     chi2_r = None
     if cfg.reweight_bins is not None:
-        chi2_r = plan.chi2_reduced(z, cfg.reweight_bins)
+        chi2_r = plan.chi2_reduced(z, spectrum)
         rho_rw = rho * _reweight_factor(chi2_r)
     else:
         rho_rw = rho

@@ -104,10 +104,11 @@ class PsdModel:
         """PSD values at frequencies ``f`` (Hz), lines included."""
         f = np.asarray(f, dtype=np.float64)
         out = self.continuum(f)
-        for line in self.lines:
+        at_centres = self.continuum([line.f_hz for line in self.lines])
+        for line, level in zip(self.lines, at_centres):
             sigma = line.width_hz / 2.0
             bump = (line.ratio - 1.0) * np.exp(-0.5 * ((f - line.f_hz) / sigma) ** 2)
-            out = out + self.continuum(np.full_like(f, line.f_hz)) * bump
+            out = out + level * bump
         return out
 
     def to_power_spectrum(self, df: float, n_bins: int) -> PowerSpectrum:
@@ -173,6 +174,28 @@ def default_detector_model() -> PsdModel:
     )
 
 
+_last_scale: tuple | None = None
+
+
+def _noise_scale(model: PsdModel, n: int, fs: float) -> np.ndarray:
+    """Per-bin amplitude sqrt(PSD * n * fs / 2), reused for the same inputs.
+
+    Exact reuse: a PsdModel is frozen and built from frozen parts, so the
+    same object always evaluates to the same grid.
+    """
+    global _last_scale
+    last = _last_scale
+    if last is not None:
+        last_model, last_n, last_fs, scale = last
+        if last_model is model and last_n == n and last_fs == fs:
+            return scale
+    freqs = np.arange(n // 2 + 1) * (fs / n)
+    scale = np.sqrt(model.evaluate(freqs) * n * fs / 2.0)
+    scale.setflags(write=False)
+    _last_scale = (model, n, fs, scale)
+    return scale
+
+
 def colored_noise(
     model: PsdModel,
     duration: float,
@@ -195,9 +218,7 @@ def colored_noise(
         raise ValidationError("duration * fs must be at least 2 samples")
     rng = rng_for(seed)
     n_f = n // 2 + 1
-    freqs = np.arange(n_f) * (fs / n)
-    psd = model.evaluate(freqs)
-    scale = np.sqrt(psd * n * fs / 2.0)
+    scale = _noise_scale(model, n, fs)
     re = rng.standard_normal(n_f)
     im = rng.standard_normal(n_f)
     bins = (re + 1j * im) / math.sqrt(2.0) * scale

@@ -55,6 +55,12 @@ class TestBasicCommands:
         ideal = load_strain(tmp_path / "gw151226.gwx")
         assert bogus.n == ideal.n
 
+    def test_template_creates_missing_out_dir(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("template", "--kind", "gw150914", "--fs", "1024", "--out", str(out)) == 0
+        assert (out / "gw150914.gwx").exists()
+        assert (out / "gw150914.json").exists()
+
     def test_inject_and_psd_and_filters(self, tmp_path, noise_file, template_file):
         assert run("inject", "--host", str(noise_file), "--signal", str(template_file),
                    "--at", "4.0", "--out", str(tmp_path), "--name", "inj.gwx") == 0

@@ -22,6 +22,7 @@ from gwxlab import (
     sigma_norm,
     stock_template,
 )
+from gwxlab import detection
 from gwxlab.simulation import PsdModel, PsdSegment
 
 FS = 4096.0
@@ -256,6 +257,112 @@ class TestReweightSnr:
     def test_threshold_constant_exposed(self):
         from gwxlab import SNR_THRESHOLD
         assert SNR_THRESHOLD == 5.0
+
+
+def per_band_chi2_oracle(strain, template, psd, n_bins, band=None):
+    """Circular chi-squared by its definition: one masked iFFT per band.
+
+    Returns (chi2_reduced, rho_reweighted) from sum_i |z_i - z/N|^2 over
+    equal-template-power bands of the block grid.
+    """
+    n, fs = strain.n, strain.fs
+    df, nf = fs / n, n // 2 + 1
+    h = np.zeros(n)
+    h[:template.n] = template.samples
+    htilde = np.fft.rfft(h) / fs
+    grid = psd.interpolated(df, nf)
+    grid = np.maximum(grid, 1e-12 * np.median(grid[grid > 0]))
+    mask = np.arange(nf) > 0
+    if band is not None:
+        f = np.arange(nf) * df
+        mask &= (f >= band[0]) & (f <= band[1])
+    weights = np.where(mask, 4.0 * np.abs(htilde) ** 2 / grid * df, 0.0)
+    hh = np.sum(weights)
+    q = np.zeros(n, dtype=complex)
+    q[:nf] = np.where(mask, 4.0 * np.fft.rfft(strain.samples) / fs * np.conj(htilde) / grid,
+                      0.0)
+    z = np.fft.ifft(q) * fs
+    cum = np.cumsum(weights) / hh
+    edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
+    bounds = np.concatenate([[0], edges + 1, [nf]])
+    chi2 = np.zeros(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        q_i = np.zeros(n, dtype=complex)
+        q_i[lo:hi] = q[lo:hi]
+        chi2 += np.abs(np.fft.ifft(q_i) * fs - z / n_bins) ** 2
+    chi2_r = chi2 * n_bins / hh / (2 * n_bins - 2)
+    rho = np.abs(z) / np.sqrt(hh)
+    factor = ((1.0 + np.maximum(chi2_r, 1.0) ** 3) / 2.0) ** (-1.0 / 6.0)
+    return chi2_r, rho * np.where(chi2_r > 1.0, factor, 1.0)
+
+
+class TestChi2Exactness:
+    """The band-autocorrelation chi-squared against the per-band definition."""
+
+    @pytest.mark.parametrize("case", [
+        "noise", "loud", "band", "two_bins", "odd_length",
+    ])
+    def test_matches_per_band_oracle(self, case):
+        tpl = stock_template("gw150914", FS)
+        psd = flat_psd(2.0 / FS)
+        n = int(4 * FS) + (1 if case == "odd_length" else 0)
+        strain = TimeSeries(FS, 0.0, rng_for(derive_seed(77, n)).standard_normal(n))
+        if case == "loud":
+            amp = 470.0 / np.sqrt(sigma_norm(tpl.base, psd))
+            strain = inject(strain, tpl.base.with_samples(amp * tpl.base.samples), 1.5)
+        n_bins = 2 if case == "two_bins" else 16
+        band = (30.0, 400.0) if case == "band" else None
+        cfg = MfConfig(block_len=None if case == "odd_length" else 4.0, mode="circular",
+                       reweight_bins=n_bins, band=band)
+        snr = matched_filter(strain, tpl.base, psd, cfg)
+        chi2_ref, rw_ref = per_band_chi2_oracle(strain, tpl.base, psd, n_bins, band)
+        if case == "loud":
+            assert np.max(snr.rho) == pytest.approx(470.0, rel=0.05)
+        np.testing.assert_allclose(snr.chi2_reduced, chi2_ref, rtol=1e-9)
+        np.testing.assert_allclose(snr.rho_reweighted, rw_ref, rtol=1e-9)
+        assert np.all(snr.chi2_reduced >= 0.0)
+
+
+class TestPlanReuse:
+    """Reused template-side plans never leak into a call with other inputs."""
+
+    def test_each_changed_input_gets_its_own_plan(self):
+        tpl = stock_template("gw150914", FS).base
+        other_tpl = tpl.with_samples(tpl.samples[::-1])
+        psd = flat_psd(2.0 / FS)
+        other_psd = default_detector_model().to_power_spectrum(0.25, int(FS / 2 / 0.25) + 1)
+        noise = [TimeSeries(FS, 0.0, rng_for(derive_seed(91, k)).standard_normal(int(2 * FS)))
+                 for k in range(2)]
+        longer = TimeSeries(FS, 0.0, rng_for(92).standard_normal(int(3 * FS)))
+        base = MfConfig(block_len=None, mode="circular", reweight_bins=16)
+        calls = [
+            (noise[0], tpl, psd, base),
+            (noise[1], tpl, psd, base),                                   # strain only
+            (noise[1], other_tpl, psd, base),                             # template
+            (noise[1], other_tpl, other_psd, base),                       # PSD
+            (noise[1], other_tpl, other_psd, MfConfig(block_len=None, mode="cyclic_prefix",
+                                                      reweight_bins=4)),  # mode
+            (noise[1], tpl, psd, MfConfig(block_len=None, reweight_bins=16,
+                                          band=(30.0, 400.0))),           # band
+            (noise[1], tpl, psd, MfConfig(block_len=None, reweight_bins=8,
+                                          band=(30.0, 400.0))),           # band count
+            (longer, tpl, psd, MfConfig(block_len=None, reweight_bins=8,
+                                        band=(30.0, 400.0))),             # length
+            (noise[0], tpl, psd, base),
+        ]
+
+        def uncached(strain, template, psd, cfg):
+            detection._last_plan = None
+            fresh = [TimeSeries(ts.fs, ts.t0, ts.samples.copy()) for ts in (strain, template)]
+            return matched_filter(*fresh, PowerSpectrum(psd.df, psd.values.copy()), cfg)
+
+        expected = [uncached(*call) for call in calls]
+        for (s, t, p, c), want in zip(calls, expected):
+            got = matched_filter(s, t, p, c)
+            assert got.sigma == want.sigma
+            np.testing.assert_array_equal(got.rho, want.rho)
+            np.testing.assert_array_equal(got.rho_reweighted, want.rho_reweighted)
+            np.testing.assert_array_equal(got.chi2_reduced, want.chi2_reduced)
 
 
 class TestDecorrelationTime:

@@ -18,6 +18,7 @@ from gwxlab import (
     sine_burst,
     welch_psd,
 )
+from gwxlab import simulation
 
 FLAT = PsdModel(segments=(PsdSegment(f_hz=1.0, level=1.0, slope=0.0),))
 
@@ -83,6 +84,21 @@ class TestColoredNoise:
         a = colored_noise(default_detector_model(), 2.0, 4096.0, seed=42)
         b = colored_noise(default_detector_model(), 2.0, 4096.0, seed=42)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_alternating_models_match_fresh_models(self):
+        # the reused amplitude grid must follow the model object, n and fs
+        a, b = default_detector_model(), FLAT
+        calls = [(a, 2.0, 4096.0), (a, 2.0, 4096.0), (b, 2.0, 4096.0), (b, 3.0, 4096.0),
+                 (b, 6.0, 2048.0), (a, 6.0, 2048.0), (b, 6.0, 2048.0), (a, 2.0, 4096.0)]
+
+        def uncached(model, duration, fs, seed):
+            simulation._last_scale = None
+            return colored_noise(PsdModel.from_dict(model.to_dict()), duration, fs, seed=seed)
+
+        expected = [uncached(*call, seed=k) for k, call in enumerate(calls)]
+        for k, ((model, duration, fs), want) in enumerate(zip(calls, expected)):
+            got = colored_noise(model, duration, fs, seed=k)
+            np.testing.assert_array_equal(got.samples, want.samples)
 
     def test_distinct_seeds_uncorrelated(self):
         a = colored_noise(FLAT, 16.0, 4096.0, seed=1)
