@@ -7,7 +7,6 @@ metrics, and a seeded Monte-Carlo scenario harness with CSV/JSON reports.
 
 from .conditioning import (
     LineBand,
-    WhitenMode,
     butterworth_bandpass,
     detect_lines,
     merge_bands,
@@ -26,22 +25,16 @@ from .detection import (
     decorrelation_time,
     matched_filter,
     normalized_ccf,
-    peak_ratio_r3,
-    reweight_snr,
     running_window_ccf,
     sigma_norm,
 )
 from .errors import DegeneracyError, GwxError, ParseError, ValidationError
 from .rng import derive_seed, rng_for
 from .series import (
-    ComplexSpectrum,
     PowerSpectrum,
     TimeSeries,
-    forward_spectrum,
-    inverse_spectrum,
     load_psd_csv,
     load_strain,
-    normalize_unit_energy,
     save_psd_csv,
     save_strain,
     slice_window,

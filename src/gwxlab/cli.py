@@ -31,6 +31,7 @@ from .scenarios import (
     SCENARIO_NAMES,
     FalseAlarmParams,
     ScenarioConfig,
+    _write_csv,
     emit_report,
     false_alarm_rate,
     run_scenario,
@@ -48,20 +49,13 @@ from .simulation import PsdModel, colored_noise, default_detector_model, inject
 from .templates import BogusSpec, load_template, make_bogus, save_template, stock_template
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise ValidationError(f"band must look like 'f_lo:f_hi', got {text!r}") from None
-
-
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_pair(text: str, form: str) -> tuple[float, float]:
+    """Two numbers from ``a:b``; ``form`` names them in the error."""
     try:
         a, b = text.split(":")
         return float(a), float(b)
     except ValueError:
-        raise ValidationError(f"range must look like 'start:end', got {text!r}") from None
+        raise ValidationError(f"expected {form!r}, got {text!r}") from None
 
 
 def _load_psd(arg: str, fs: float) -> PowerSpectrum:
@@ -77,13 +71,6 @@ def _load_psd(arg: str, fs: float) -> PowerSpectrum:
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -165,7 +152,7 @@ def _cmd_whiten(args) -> int:
 
 def _cmd_bandpass(args) -> int:
     ts = load_strain(args.strain)
-    f_lo, f_hi = _parse_band(args.band)
+    f_lo, f_hi = _parse_pair(args.band, "f_lo:f_hi")
     out = butterworth_bandpass(ts, f_lo, f_hi, order=args.order,
                                zero_phase=not args.causal)
     path = _out_path(args, args.name)
@@ -182,7 +169,7 @@ def _cmd_mf(args) -> int:
         block_len=args.block_len,
         mode=args.mode,
         reweight_bins=None if args.no_reweight else args.n_bins,
-        band=_parse_band(args.band) if args.band else None,
+        band=_parse_pair(args.band, "f_lo:f_hi") if args.band else None,
     )
     snr = matched_filter(strain, template, psd, cfg)
     path = _out_path(args, "snr.csv")
@@ -219,7 +206,7 @@ def _cmd_ccf(args) -> int:
 def _cmd_running_ccf(args) -> int:
     long_ts = load_strain(args.strain)
     template = load_strain(args.template)
-    exclusions = [_parse_range(x) for x in args.exclude]
+    exclusions = [_parse_pair(x, "start:end") for x in args.exclude]
     stats = running_window_ccf(long_ts, template, hop=args.hop,
                                exclusions=exclusions)
     path = _out_path(args, "running.csv")
@@ -285,26 +272,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the scenario names and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--fs", type=float, default=4096.0, help="sample rate, Hz")
+    def common(p, *reads):
+        """--out everywhere; --seed and --fs only where the subcommand reads them."""
+        if "seed" in reads:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        if "fs" in reads:
+            p.add_argument("--fs", type=float, default=4096.0, help="sample rate, Hz")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("noise", help="synthesize detector-like colored noise")
-    common(p)
+    common(p, "seed", "fs")
     p.add_argument("--duration", type=float, default=32.0)
     p.add_argument("--config", help="PSD model JSON (psd_model.json schema)")
     p.add_argument("--name", default="noise.gwx")
     p.set_defaults(fn=_cmd_noise)
 
     p = sub.add_parser("template", help="emit a stock chirp template")
-    common(p)
+    common(p, "fs")
     p.add_argument("--kind", default="gw150914",
                    choices=["gw150914", "gw151226", "gw170104"])
     p.set_defaults(fn=_cmd_template)
 
     p = sub.add_parser("bogus", help="synthesize a phase-noise bogus template")
-    common(p)
+    common(p, "seed", "fs")
     p.add_argument("--kind", default="gw150914",
                    choices=["gw150914", "gw151226", "gw170104"])
     p.add_argument("--template", help="template basename saved by 'template'")
@@ -381,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_running_ccf)
 
     p = sub.add_parser("scenario", help="run or list Monte-Carlo scenarios")
-    common(p)
+    common(p, "seed", "fs")
     p.add_argument("action", choices=["run", "list"])
     p.add_argument("scenario_name", nargs="?", choices=list(SCENARIO_NAMES))
     p.add_argument("--trials", type=int, default=100)

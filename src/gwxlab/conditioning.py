@@ -10,27 +10,23 @@ outside the bands passes through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
 import scipy.signal
 
-from .errors import DegeneracyError, ValidationError
-from .series import PowerSpectrum, TimeSeries
+from .errors import ValidationError
+from .series import PSD_FLOOR_RATIO, PowerSpectrum, TimeSeries
 
 __all__ = [
     "LineBand",
-    "WhitenMode",
     "butterworth_bandpass",
     "whiten_full",
     "whiten_localized",
     "detect_lines",
     "merge_bands",
 ]
-
-# bins below this fraction of the median are clamped before any division
-PSD_FLOOR_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,19 +52,6 @@ class LineBand:
     @property
     def f_hi(self) -> float:
         return self.f_center + self.half_width
-
-
-@dataclass(frozen=True)
-class WhitenMode:
-    """Whitening selector: ``full_band`` or ``localized`` with line bands."""
-
-    variant: str
-    line_bands: tuple[LineBand, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.variant not in ("full_band", "localized"):
-            raise ValidationError(f"unknown whitening variant {self.variant!r}")
-        object.__setattr__(self, "line_bands", merge_bands(self.line_bands))
 
 
 def merge_bands(bands) -> tuple[LineBand, ...]:
@@ -123,18 +106,6 @@ def butterworth_bandpass(
     return ts.with_samples(y)
 
 
-def _floored_psd_on_grid(psd: PowerSpectrum, df: float, n_bins: int) -> np.ndarray:
-    values = psd.interpolated(df, n_bins)
-    positive = values[values > 0]
-    if positive.size == 0:
-        raise DegeneracyError("PSD is zero everywhere; nothing to whiten against")
-    floor = PSD_FLOOR_RATIO * float(np.median(positive))
-    values = np.maximum(values, floor)
-    if not np.all(values > 0):
-        raise DegeneracyError("PSD still holds zero bins after flooring")
-    return values
-
-
 def whiten_full(ts: TimeSeries, psd: PowerSpectrum) -> TimeSeries:
     """Divide the spectrum by the noise amplitude spectral density.
 
@@ -144,7 +115,7 @@ def whiten_full(ts: TimeSeries, psd: PowerSpectrum) -> TimeSeries:
     n = ts.n
     if n < 2:
         raise ValidationError("whitening needs at least two samples")
-    grid = _floored_psd_on_grid(psd, ts.fs / n, n // 2 + 1)
+    grid = psd.floored(ts.fs / n, n // 2 + 1)
     spec = np.fft.rfft(ts.samples)
     white = spec / np.sqrt(grid) * np.sqrt(2.0 / ts.fs)
     return ts.with_samples(np.fft.irfft(white, n=n))
@@ -233,7 +204,7 @@ def whiten_localized(
     bands = merge_bands(lines)
     if not bands:
         return ts.with_samples(ts.samples.copy())
-    grid = _floored_psd_on_grid(psd, ts.fs / n, n // 2 + 1)
+    grid = psd.floored(ts.fs / n, n // 2 + 1)
     if median_window_hz <= 0:
         raise ValidationError("median_window_hz must be positive")
     k = max(3, int(round(median_window_hz / (ts.fs / n))) | 1)

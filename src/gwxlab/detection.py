@@ -50,7 +50,7 @@ import scipy.signal
 from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
-from .series import PowerSpectrum, TimeSeries
+from .series import PowerSpectrum, TimeSeries, slice_window
 
 __all__ = [
     "MfConfig",
@@ -62,16 +62,16 @@ __all__ = [
     "SNR_THRESHOLD",
     "matched_filter",
     "sigma_norm",
-    "reweight_snr",
     "normalized_ccf",
     "decorrelation_time",
     "ccf_decorrelation_time",
-    "peak_ratio_r3",
     "running_window_ccf",
 ]
 
 R3_THRESHOLD = 1.0 / math.e
 SNR_THRESHOLD = 5.0
+# decorrelation envelopes take their running maximum over a half period here
+MIN_FREQ_HZ = 30.0
 
 
 class Peak(NamedTuple):
@@ -194,15 +194,6 @@ class RunningWindowStat(NamedTuple):
 # matched filter
 
 
-def _psd_on_grid(psd: PowerSpectrum, df: float, n_bins: int) -> np.ndarray:
-    values = psd.interpolated(df, n_bins)
-    positive = values[values > 0]
-    if positive.size == 0:
-        raise DegeneracyError("PSD is zero everywhere")
-    floor = 1e-12 * float(np.median(positive))
-    return np.maximum(values, floor)
-
-
 def _band_mask(n_onesided: int, df: float, band) -> np.ndarray:
     mask = np.ones(n_onesided, dtype=bool)
     mask[0] = False  # DC carries no template information
@@ -263,7 +254,7 @@ class _MfPlan:
         h = np.zeros(self.grid_n)
         h[:nt] = template.samples
         self.htilde = np.fft.rfft(h) * self.dt
-        self.psd_grid = _psd_on_grid(psd, self.grid_df, nf)
+        self.psd_grid = psd.floored(self.grid_df, nf)
         self.mask = _band_mask(nf, self.grid_df, cfg.band)
         # <h|h> integrand per one-sided bin
         self.weights = np.where(
@@ -390,7 +381,7 @@ def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
         raise ValidationError("template needs at least two samples")
     htilde = np.fft.rfft(template.samples) / template.fs
     df = template.fs / template.n
-    grid = _psd_on_grid(psd, df, htilde.size)
+    grid = psd.floored(df, htilde.size)
     mask = _band_mask(htilde.size, df, band)
     hh = float(np.sum(4.0 * np.abs(htilde[mask]) ** 2 / grid[mask] * df))
     if hh <= 0.0:
@@ -434,25 +425,6 @@ def matched_filter(
     )
 
 
-def reweight_snr(
-    snr: SnrSeries,
-    strain: TimeSeries,
-    template: TimeSeries,
-    psd: PowerSpectrum,
-    n_bins: int = 16,
-) -> SnrSeries:
-    """Recompute the chi-squared reweighting of an existing SNR series.
-
-    rho itself is recomputed from the same inputs (the series only stores
-    magnitudes), then down-weighted by ``[(1 + chi2_r**3)/2]**(-1/6)``
-    wherever the reduced chi-squared exceeds 1.
-    """
-    if n_bins < 2:
-        raise ValidationError(f"n_bins must be >= 2, got {n_bins}")
-    cfg = MfConfig(block_len=None, mode=snr.mode, reweight_bins=n_bins, band=snr.band)
-    return matched_filter(strain, template, psd, cfg)
-
-
 # ---------------------------------------------------------------------------
 # normalized short-window cross-correlation
 
@@ -464,12 +436,25 @@ def _unit_energy(x: np.ndarray, what: str) -> np.ndarray:
     return x / math.sqrt(energy)
 
 
-def decorrelation_time(template: TimeSeries, min_freq_hz: float = 30.0) -> float:
+def _envelope_crossing(r: np.ndarray, fs: float, what: str) -> float:
+    """First lag at which the running-maximum envelope of ``r`` (1 at lag
+    0, sampled at ``fs``) falls below 1/e."""
+    w = max(int(round(fs / (2.0 * MIN_FREQ_HZ))), 1) + 1
+    if r.size - w < 2:
+        raise ValidationError(f"{what} too short to assess its decay at {MIN_FREQ_HZ} Hz")
+    window_max = np.max(np.lib.stride_tricks.sliding_window_view(r, w), axis=1)
+    below = np.nonzero(window_max[1:] < R3_THRESHOLD)[0]
+    if below.size == 0:
+        raise DegeneracyError(f"{what} envelope never falls below 1/e of its peak")
+    return float((below[0] + 1) / fs)
+
+
+def decorrelation_time(template: TimeSeries) -> float:
     """First lag where the autocorrelation envelope falls below 1/e.
 
     The overlap-corrected (unbiased) autocorrelation is normalized to 1
-    at zero lag; its envelope is tracked as a running maximum of |r| over
-    a half-period window at ``min_freq_hz``, so oscillations of in-band
+    at zero lag; its envelope is a running maximum of |r| over a
+    half-period window at ``MIN_FREQ_HZ``, so oscillations of in-band
     content do not count as decay.  Raises when the envelope never
     crosses 1/e (a constant-envelope tone never decorrelates).
     """
@@ -478,21 +463,10 @@ def decorrelation_time(template: TimeSeries, min_freq_hz: float = 30.0) -> float
     energy = float(np.dot(x, x))
     if energy <= 0.0:
         raise DegeneracyError("zero-energy series has no decorrelation time")
-    if min_freq_hz <= 0:
-        raise ValidationError("min_freq_hz must be positive")
     corr = scipy.signal.correlate(x, x, mode="full", method="fft")[n - 1:]
     counts = n - np.arange(n)
     r = np.abs(corr / counts * (n / energy))
-    w = max(int(round(template.fs / (2.0 * min_freq_hz))), 1) + 1
-    if n - w < 2:
-        raise ValidationError(
-            "series too short to assess decorrelation at this minimum frequency"
-        )
-    window_max = np.max(np.lib.stride_tricks.sliding_window_view(r, w), axis=1)
-    below = np.nonzero(window_max[1:] < R3_THRESHOLD)[0]
-    if below.size == 0:
-        raise DegeneracyError("autocorrelation envelope never falls below 1/e")
-    return float((below[0] + 1) / template.fs)
+    return _envelope_crossing(r, template.fs, "autocorrelation")
 
 
 def normalized_ccf(
@@ -557,12 +531,7 @@ def _r3(lags: np.ndarray, values: np.ndarray, tau0: float) -> tuple[float, bool]
     return r3, bool(r3 < R3_THRESHOLD)
 
 
-def peak_ratio_r3(ccf: CcfResult, tau0: float) -> tuple[float, bool]:
-    """R3 ratio and peakiness verdict for an explicit decorrelation time."""
-    return _r3(ccf.lags, ccf.values, tau0)
-
-
-def ccf_decorrelation_time(ccf: CcfResult, min_freq_hz: float = 30.0) -> float:
+def ccf_decorrelation_time(ccf: CcfResult) -> float:
     """Lag distance at which the |CCF| envelope drops below 1/e of its peak.
 
     Both sides of the global peak are folded together and tracked with
@@ -576,19 +545,10 @@ def ccf_decorrelation_time(ccf: CcfResult, min_freq_hz: float = 30.0) -> float:
         raise DegeneracyError("flat zero CCF has no decorrelation time")
     left = mag[:p + 1][::-1]
     right = mag[p:]
-    m = max(left.size, right.size)
-    folded = np.zeros(m)
+    folded = np.zeros(max(left.size, right.size))
     folded[:left.size] = left
     folded[:right.size] = np.maximum(folded[:right.size], right)
-    folded /= peak
-    w = max(int(round(fs / (2.0 * min_freq_hz))), 1) + 1
-    if folded.size - w < 2:
-        raise ValidationError("lag range too short to assess CCF decay")
-    window_max = np.max(np.lib.stride_tricks.sliding_window_view(folded, w), axis=1)
-    below = np.nonzero(window_max[1:] < R3_THRESHOLD)[0]
-    if below.size == 0:
-        raise DegeneracyError("CCF envelope never falls below 1/e of its peak")
-    return float((below[0] + 1) / fs)
+    return _envelope_crossing(folded / peak, fs, "CCF")
 
 
 def running_window_ccf(
@@ -596,11 +556,11 @@ def running_window_ccf(
     template: TimeSeries,
     hop: float,
     exclusions=(),
-    max_lag: float | None = None,
     tau0: float | None = None,
 ) -> list[RunningWindowStat]:
     """Slide template-duration windows over a long series and summarize each.
 
+    Each window is correlated with the template over every lag it holds.
     Windows intersecting an exclusion range ``(t_a, t_b)`` are skipped,
     as are zero-energy windows.  Results are ordered by window start no
     matter how they were evaluated.
@@ -609,8 +569,7 @@ def running_window_ccf(
         raise ValidationError(f"hop must be positive, got {hop}")
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")
-    if max_lag is None:
-        max_lag = (template.n - 1) / template.fs
+    max_lag = (template.n - 1) / template.fs
     if tau0 is None:
         tau0 = decorrelation_time(template)
     duration = template.duration
@@ -620,9 +579,10 @@ def running_window_ccf(
     while t + duration <= end + 0.5 / long_ts.fs:
         excluded = any(t < t_b and t + duration > t_a for (t_a, t_b) in exclusions)
         if not excluded:
-            window = _slice(long_ts, t, template.n)
-            if window is None:
-                break
+            try:
+                window = slice_window(long_ts, t, duration)
+            except ValidationError:
+                break  # the last hop's window runs past the end of the series
             if float(np.dot(window.samples, window.samples)) > 0.0:
                 ccf = normalized_ccf(window, template, max_lag=max_lag, tau0=tau0)
                 out.append(RunningWindowStat(t_start=t, peak_abs_ccf=ccf.peak_abs, r3=ccf.r3))
@@ -630,10 +590,3 @@ def running_window_ccf(
     if not out:
         raise ValidationError("no usable windows: exclusions cover the whole span")
     return out
-
-
-def _slice(ts: TimeSeries, t_start: float, n: int) -> TimeSeries | None:
-    i0 = int(round((t_start - ts.t0) * ts.fs))
-    if i0 < 0 or i0 + n > ts.n:
-        return None
-    return TimeSeries(ts.fs, ts.t0 + i0 / ts.fs, ts.samples[i0:i0 + n])

@@ -13,8 +13,6 @@ and re-runs emit byte-identical reports.
 
 from __future__ import annotations
 
-import csv as _csv
-import io
 import json
 import math
 import os
@@ -36,7 +34,7 @@ from .detection import (
 )
 from .errors import GwxError, ValidationError
 from .rng import derive_seed, rng_for
-from .series import PowerSpectrum, TimeSeries, slice_window
+from .series import PowerSpectrum, TimeSeries, load_strain, slice_window
 from .simulation import (
     BurstSpec,
     PsdLine,
@@ -176,7 +174,8 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
         try:
             reports.append(trial_fn(k, seed))
         except GwxError as exc:
-            raise GwxError(f"{name}: trial {k} (seed {seed}) failed: {exc}") from exc
+            # same class, so the CLI still tells bad input from degenerate data
+            raise type(exc)(f"{name}: trial {k} (seed {seed}) failed: {exc}") from exc
     reports.sort(key=lambda r: r.trial_index)
     stats = {
         "trials": trials,
@@ -370,39 +369,33 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig) -> ScenarioResult:
     psd = model.to_power_spectrum(1.0, int(cfg.fs / 2) + 1)
     figures = {}
 
-    if "strain_a" in cfg.inputs and "strain_b" in cfg.inputs:
-        from .series import load_strain
-
-        a = load_strain(cfg.inputs["strain_a"])
-        b = load_strain(cfg.inputs["strain_b"])
-        event_at = cfg.opt("event_at", a.t0 + a.duration / 2.0 - window / 2.0)
-        wa = slice_window(_whiten_and_band(a, psd, band), event_at, window)
-        wb = slice_window(_whiten_and_band(b, psd, band), event_at, window)
-        ccf = normalized_ccf(wa, wb, max_lag=max_lag)
-        report = TrialReport(trial_index=0, seed=cfg.seed_base,
-                             peak_abs_ccf=ccf.peak_abs, r3=ccf.r3, peaky=ccf.peaky)
-        stats = {
-            "trials": 1,
-            "fired_fraction": None,
-            "peaky_fraction": _fraction([ccf.peaky]),
-            "peak_rho_quantiles": None,
-            "peak_ccf_quantiles": _quantiles([ccf.peak_abs]),
-            "inputs": "files",
-            "event_at_s": event_at,
-        }
-        figures["ccf.csv"] = _ccf_figure(ccf)
-        return ScenarioResult(cfg, [report], stats, figures)
-
-    def trial(k: int, seed: int) -> TrialReport:
-        a = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 1))
-        b = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 2))
-        wa = _whiten_and_band(a, psd, band)
-        wb = _whiten_and_band(b, psd, band)
+    def correlate(k: int, seed: int, wa: TimeSeries, wb: TimeSeries) -> TrialReport:
         ccf = normalized_ccf(wa, wb, max_lag=max_lag)
         if k == 0:
             figures["ccf.csv"] = _ccf_figure(ccf)
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=ccf.peak_abs, r3=ccf.r3, peaky=ccf.peaky)
+
+    if "strain_a" in cfg.inputs and "strain_b" in cfg.inputs:
+        a = load_strain(cfg.inputs["strain_a"])
+        b = load_strain(cfg.inputs["strain_b"])
+        event_at = cfg.opt("event_at", a.t0 + a.duration / 2.0 - window / 2.0)
+
+        def trial(k: int, seed: int) -> TrialReport:
+            # one evaluation of the file pair, recorded at seed_base
+            return correlate(k, cfg.seed_base,
+                             slice_window(_whiten_and_band(a, psd, band), event_at, window),
+                             slice_window(_whiten_and_band(b, psd, band), event_at, window))
+
+        reports, stats = monte_carlo(trial, 1, cfg.seed_base, cfg.name)
+        stats.update(inputs="files", event_at_s=event_at)
+        return ScenarioResult(cfg, reports, stats, figures)
+
+    def trial(k: int, seed: int) -> TrialReport:
+        a = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 1))
+        b = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 2))
+        return correlate(k, seed, _whiten_and_band(a, psd, band),
+                         _whiten_and_band(b, psd, band))
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
     return ScenarioResult(cfg, reports, stats, figures)
@@ -619,42 +612,35 @@ def _scenario_circular_artifact(cfg: ScenarioConfig) -> ScenarioResult:
     n = int(round(block * cfg.fs))
     nt = tpl.base.n
     psd = PowerSpectrum(df=1.0, values=np.full(int(cfg.fs / 2) + 1, 1.0))
-    x = rng_for(cfg.seed_base).standard_normal(n) * 1e-3 * float(np.max(np.abs(tpl.base.samples)))
-    half = nt // 2
-    x[n - half:] += tpl.base.samples[:half]
-    x[:nt - half] += tpl.base.samples[half:]
-    strain = TimeSeries(cfg.fs, 0.0, x)
-    circ = matched_filter(strain, tpl.base, psd,
-                          MfConfig(block_len=block, mode="circular", reweight_bins=None))
-    cyc = matched_filter(strain, tpl.base, psd,
-                         MfConfig(block_len=block, mode="cyclic_prefix",
-                                  reweight_bins=None))
-    separation = abs(circ.peak.time - cyc.peak.time)
-    witness = separation > tpl.base.duration / 2.0
-    report = TrialReport(trial_index=0, seed=cfg.seed_base,
-                         peak_rho=circ.peak.value,
-                         fired=circ.peak.value > cfg.snr_threshold,
-                         extras={"peak_time_circular_s": circ.peak.time,
-                                 "peak_time_cyclic_prefix_s": cyc.peak.time,
-                                 "separation_s": separation,
-                                 "witness": witness})
-    summary = {
-        "trials": 1,
-        "fired_fraction": _fraction([report.fired]),
-        "peaky_fraction": None,
-        "peak_rho_quantiles": _quantiles([report.peak_rho]),
-        "peak_ccf_quantiles": None,
-        "peak_time_circular_s": circ.peak.time,
-        "peak_time_cyclic_prefix_s": cyc.peak.time,
-        "separation_s": separation,
-        "template_duration_s": tpl.base.duration,
-        "witness": witness,
-    }
-    figures = {
-        "snr_circular.csv": _snr_figure(circ),
-        "snr_cyclic_prefix.csv": _snr_figure(cyc),
-    }
-    return ScenarioResult(cfg, [report], summary, figures)
+    figures = {}
+
+    def trial(k: int, seed: int) -> TrialReport:
+        # one deterministic witness, drawn at seed_base itself
+        x = (rng_for(cfg.seed_base).standard_normal(n)
+             * 1e-3 * float(np.max(np.abs(tpl.base.samples))))
+        half = nt // 2
+        x[n - half:] += tpl.base.samples[:half]
+        x[:nt - half] += tpl.base.samples[half:]
+        strain = TimeSeries(cfg.fs, 0.0, x)
+        circ = matched_filter(strain, tpl.base, psd,
+                              MfConfig(block_len=block, mode="circular", reweight_bins=None))
+        cyc = matched_filter(strain, tpl.base, psd,
+                             MfConfig(block_len=block, mode="cyclic_prefix",
+                                      reweight_bins=None))
+        separation = abs(circ.peak.time - cyc.peak.time)
+        figures["snr_circular.csv"] = _snr_figure(circ)
+        figures["snr_cyclic_prefix.csv"] = _snr_figure(cyc)
+        return TrialReport(trial_index=k, seed=cfg.seed_base,
+                           peak_rho=circ.peak.value,
+                           fired=circ.peak.value > cfg.snr_threshold,
+                           extras={"peak_time_circular_s": circ.peak.time,
+                                   "peak_time_cyclic_prefix_s": cyc.peak.time,
+                                   "separation_s": separation,
+                                   "witness": separation > tpl.base.duration / 2.0})
+
+    reports, stats = monte_carlo(trial, 1, cfg.seed_base, cfg.name)
+    stats.update(reports[0].extras, template_duration_s=tpl.base.duration)
+    return ScenarioResult(cfg, reports, stats, figures)
 
 
 SCENARIOS = {
@@ -710,6 +696,8 @@ _TRIAL_COLUMNS = ["trial_index", "seed", "peak_rho", "peak_abs_ccf", "r3",
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # numpy float64 included
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, bool) or isinstance(value, np.bool_):
@@ -717,6 +705,29 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write one CSV table; the reports and the CLI both write through it.
+
+    Nothing needs CSV quoting: headers are identifiers, and cells are
+    numbers, booleans or empty.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+
+
+def _non_finite_keys(obj, path: str = ""):
+    """Paths (``a.b[2]``) of the NaN and infinite floats in a JSON-like value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _non_finite_keys(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _non_finite_keys(v, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield path
 
 
 def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]:
@@ -727,38 +738,30 @@ def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]
     """
     if not result.trials:
         raise ValidationError("nothing to report: no trials")
+    bad = sorted(_non_finite_keys(result.summary))
+    if bad:
+        raise ValidationError(
+            f"summary values must be finite to be written as JSON; "
+            f"not finite: {', '.join(map(repr, bad))}"
+        )
+    summary = json.dumps(result.summary, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(summary + "\n")
     written.append(path)
 
     extra_keys = sorted({k for r in result.trials for k in r.extras})
     path = os.path.join(out_dir, "trials.csv")
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(_TRIAL_COLUMNS + extra_keys)
-    for r in result.trials:
-        row = [str(r.trial_index), str(r.seed), _format_cell(r.peak_rho),
-               _format_cell(r.peak_abs_ccf), _format_cell(r.r3),
-               _format_cell(r.fired), _format_cell(r.peaky)]
-        row += [_format_cell(r.extras.get(k)) for k in extra_keys]
-        writer.writerow(row)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(path, _TRIAL_COLUMNS + extra_keys,
+               ([r.trial_index, r.seed, r.peak_rho, r.peak_abs_ccf, r.r3, r.fired, r.peaky]
+                + [r.extras.get(k) for k in extra_keys] for r in result.trials))
     written.append(path)
 
     for name, (header, rows) in sorted(result.figures.items()):
         path = os.path.join(out_dir, name)
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(buf.getvalue())
+        _write_csv(path, header, rows)
         written.append(path)
     return written

@@ -1,17 +1,12 @@
-"""Time-series container, windowing, spectral transforms, and Welch PSD.
+"""Time-series container, windowing, strain and PSD files, and Welch PSD.
 
 Everything downstream (conditioning, templates, detection, simulation)
-moves data around as :class:`TimeSeries`, :class:`ComplexSpectrum`, and
-:class:`PowerSpectrum` values.  All operations are pure: values are
-immutable after construction and safe to share across threads.
+moves data around as :class:`TimeSeries` and :class:`PowerSpectrum`
+values.  All operations are pure: values are immutable after
+construction and safe to share across threads.
 
-Spectral conventions
---------------------
-``forward_spectrum`` stores ``dt * fft(x)`` so bins approximate the
-continuous-time Fourier transform and Parseval reads
-``sum(x**2) * dt == sum(|bins|**2) * df`` (two-sided).  PSDs are
-one-sided densities in strain^2/Hz, so unit-variance white noise at
-sample rate fs sits at the level 2/fs.
+PSDs are one-sided densities in strain^2/Hz, so unit-variance white
+noise at sample rate fs sits at the level 2/fs.
 """
 
 from __future__ import annotations
@@ -28,20 +23,20 @@ from .errors import DegeneracyError, ParseError, ValidationError
 
 __all__ = [
     "TimeSeries",
-    "ComplexSpectrum",
     "PowerSpectrum",
     "load_strain",
     "save_strain",
     "load_psd_csv",
     "save_psd_csv",
     "slice_window",
-    "normalize_unit_energy",
-    "forward_spectrum",
-    "inverse_spectrum",
     "welch_psd",
 ]
 
 GWX_MAGIC = "# gwx-strain v1"
+
+# PSD bins are floored at this fraction of a median PSD level before
+# anything divides by them
+PSD_FLOOR_RATIO = 1e-12
 
 
 def _readonly_f64(values, name: str) -> np.ndarray:
@@ -108,63 +103,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexSpectrum:
-    """Fourier transform of a real series, in continuous-FT units (dt * DFT).
-
-    ``convention`` is "onesided" (bins 0..n//2 of the real FFT) or
-    "twosided" (all n bins).  ``n_time`` is the originating series length,
-    needed to invert odd/even lengths unambiguously.
-    """
-
-    df: float
-    bins: np.ndarray
-    convention: str
-    n_time: int
-
-    def __post_init__(self):
-        df = float(self.df)
-        if not np.isfinite(df) or df <= 0:
-            raise ValidationError(f"bin spacing must be positive, got {df}")
-        bins = np.asarray(self.bins, dtype=np.complex128).copy()
-        if bins.ndim != 1:
-            raise ValidationError("bins must be one-dimensional")
-        if not np.all(np.isfinite(bins)):
-            raise ValidationError("bins must be finite")
-        n_time = int(self.n_time)
-        if n_time < 2:
-            raise ValidationError("originating series length must be >= 2")
-        if self.convention not in ("onesided", "twosided"):
-            raise ValidationError(f"unknown convention {self.convention!r}")
-        expect = n_time // 2 + 1 if self.convention == "onesided" else n_time
-        if bins.size != expect:
-            raise ValidationError(
-                f"{self.convention} spectrum of {n_time} samples needs "
-                f"{expect} bins, got {bins.size}"
-            )
-        bins.setflags(write=False)
-        object.__setattr__(self, "df", df)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "n_time", n_time)
-
-    @property
-    def fs(self) -> float:
-        return self.df * self.n_time
-
-    def frequencies(self) -> np.ndarray:
-        if self.convention == "onesided":
-            return np.arange(self.bins.size) * self.df
-        return np.fft.fftfreq(self.n_time, d=1.0 / self.fs)
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.bins)
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.bins)
-
-
-@dataclass(frozen=True, eq=False)
 class PowerSpectrum:
     """One-sided PSD on a uniform grid starting at 0 Hz, strain^2/Hz."""
 
@@ -183,10 +121,6 @@ class PowerSpectrum:
         object.__setattr__(self, "df", df)
         object.__setattr__(self, "values", values)
 
-    @property
-    def f_max(self) -> float:
-        return (self.values.size - 1) * self.df
-
     def frequencies(self) -> np.ndarray:
         return np.arange(self.values.size) * self.df
 
@@ -204,6 +138,18 @@ class PowerSpectrum:
         out = np.exp(np.interp(f_new, self.frequencies(), logv))
         out[out <= 10 * tiny] = 0.0
         return out
+
+    def floored(self, df: float, n_bins: int) -> np.ndarray:
+        """:meth:`interpolated`, with bins below ``PSD_FLOOR_RATIO`` times
+        the median positive bin raised to that floor, ready to divide by."""
+        values = self.interpolated(df, n_bins)
+        positive = values[values > 0]
+        if positive.size == 0:
+            raise DegeneracyError("PSD is zero everywhere")
+        values = np.maximum(values, PSD_FLOOR_RATIO * float(np.median(positive)))
+        if not np.all(values > 0):
+            raise DegeneracyError("PSD still holds zero or NaN bins after flooring")
+        return values
 
     def band_mean(self, f_lo: float, f_hi: float) -> float:
         f = self.frequencies()
@@ -365,7 +311,7 @@ def save_psd_csv(psd: PowerSpectrum, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# windowing and normalization
+# windowing and Welch PSD
 
 
 def slice_window(ts: TimeSeries, t_start: float, duration: float) -> TimeSeries:
@@ -386,45 +332,6 @@ def slice_window(ts: TimeSeries, t_start: float, duration: float) -> TimeSeries:
             f"[{ts.t0}, {ts.t0 + ts.duration}] s"
         )
     return TimeSeries(ts.fs, ts.t0 + i0 / ts.fs, ts.samples[i0:i0 + n])
-
-
-def normalize_unit_energy(ts: TimeSeries) -> TimeSeries:
-    """Scale so that ``sum(x**2) == 1``."""
-    energy = float(np.dot(ts.samples, ts.samples))
-    if energy <= 0.0:
-        raise DegeneracyError("cannot normalize a zero-energy series")
-    return ts.with_samples(ts.samples / np.sqrt(energy))
-
-
-# ---------------------------------------------------------------------------
-# spectral transforms
-
-
-def forward_spectrum(ts: TimeSeries, convention: str = "onesided") -> ComplexSpectrum:
-    """Fourier transform in continuous-FT units (``dt * DFT``)."""
-    if ts.n < 2:
-        raise ValidationError("forward transform needs at least two samples")
-    dt = ts.dt
-    if convention == "onesided":
-        bins = np.fft.rfft(ts.samples) * dt
-    elif convention == "twosided":
-        bins = np.fft.fft(ts.samples) * dt
-    else:
-        raise ValidationError(f"unknown convention {convention!r}")
-    return ComplexSpectrum(df=ts.fs / ts.n, bins=bins, convention=convention, n_time=ts.n)
-
-
-def inverse_spectrum(sp: ComplexSpectrum, t0: float = 0.0) -> TimeSeries:
-    """Invert :func:`forward_spectrum`; exact round trip up to float error."""
-    fs = sp.fs
-    if sp.convention == "onesided":
-        x = np.fft.irfft(sp.bins * fs, n=sp.n_time)
-    else:
-        x = np.fft.ifft(sp.bins * fs)
-        if np.max(np.abs(x.imag)) > 1e-9 * max(np.max(np.abs(x.real)), 1e-300):
-            raise ValidationError("twosided spectrum is not conjugate-symmetric")
-        x = x.real
-    return TimeSeries(fs=fs, t0=t0, samples=x)
 
 
 _WELCH_WINDOWS = {"blackman": "blackman", "hann": "hann", "rect": "boxcar"}

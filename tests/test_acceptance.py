@@ -108,7 +108,7 @@ def _misfire(criterion: int, name: str, label: str):
     frac = res.summary["fired_fraction"]
     frac_chi2 = res.summary["fired_fraction_chi2"]
     report(criterion, frac > 0.5 and elapsed < 120.0,
-           f"{label}: reported reweighted-SNR verdict fired {frac:.2f} "
+           f"{label}: reported plain peak-SNR verdict fired {frac:.2f} "
            f"(>0.5; chi2-vetoed variant {frac_chi2:.2f}), {elapsed:.0f} s (<120 s)")
 
 

@@ -154,6 +154,12 @@ class TestExitCodes:
         assert run("ccf", "--a", str(zero), "--b", str(zero),
                    "--max-lag", "0.1", "--out", str(tmp_path)) == 3
 
+    def test_unread_option_is_rejected(self, tmp_path, noise_file, template_file):
+        with pytest.raises(SystemExit) as exc:
+            run("mf", "--strain", str(noise_file), "--template", str(template_file),
+                "--seed", "3", "--out", str(tmp_path))
+        assert exc.value.code == 2
+
     def test_far_rejects_bad_params(self, capsys):
         assert run("far", "--nb", "-1", "--t", "1", "--tb", "1") == 2
 

@@ -10,7 +10,6 @@ from gwxlab import (
     PsdSegment,
     TimeSeries,
     ValidationError,
-    WhitenMode,
     butterworth_bandpass,
     colored_noise,
     default_detector_model,
@@ -165,14 +164,6 @@ class TestMergeBands:
         assert merged[0].f_lo == pytest.approx(58.0)
         assert merged[0].f_hi == pytest.approx(63.0)
         assert merged[0].peak_ratio == 20.0
-
-    def test_whiten_mode_validates(self):
-        with pytest.raises(ValidationError):
-            WhitenMode(variant="sideways")
-        mode = WhitenMode(variant="localized",
-                          line_bands=(LineBand(60.0, 1.0, 10.0), LineBand(60.5, 1.0, 5.0)))
-        assert len(mode.line_bands) == 1
-
 
 class TestWhitenLocalized:
     def setup_method(self):

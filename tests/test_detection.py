@@ -15,8 +15,6 @@ from gwxlab import (
     inject,
     matched_filter,
     normalized_ccf,
-    peak_ratio_r3,
-    reweight_snr,
     rng_for,
     running_window_ccf,
     sigma_norm,
@@ -231,20 +229,6 @@ class TestReweightSnr:
             k = int(np.argmax(snr.rho))
             wins += snr.rho_reweighted[k] < snr.rho[k]
         assert wins == 50
-
-    def test_reweight_standalone_matches_config_path(self):
-        tpl = stock_template("gw150914", FS)
-        psd = flat_psd(2.0 / FS)
-        noise = TimeSeries(FS, 0.0, rng_for(8).standard_normal(int(2 * FS)))
-        plain = matched_filter(noise, tpl.base, psd,
-                               MfConfig(block_len=2.0, mode="circular",
-                                        reweight_bins=None))
-        via_cfg = matched_filter(noise, tpl.base, psd,
-                                 MfConfig(block_len=2.0, mode="circular",
-                                          reweight_bins=8))
-        via_op = reweight_snr(plain, noise, tpl.base, psd, n_bins=8)
-        np.testing.assert_allclose(via_op.rho_reweighted, via_cfg.rho_reweighted,
-                                   rtol=1e-12)
 
     def test_tone_template_binning_fails(self):
         t = np.arange(1024) / FS
@@ -498,26 +482,20 @@ class TestNormalizedCcf:
 
 class TestPeakRatioR3:
     def test_flat_ccf_not_peaky(self):
-        from gwxlab.detection import CcfResult
         lags = np.arange(-100, 101) / FS
-        ccf = CcfResult(lags=lags, values=np.full(201, 0.5), tau0=1.0 / FS,
-                        r3=1.0, peaky=False, window_T=0.25)
-        r3, peaky = peak_ratio_r3(ccf, tau0=1.0 / FS)
+        r3, peaky = detection._r3(lags, np.full(201, 0.5), tau0=1.0 / FS)
         assert r3 == 1.0
         assert not peaky
 
     def test_insufficient_lag_range(self):
         tpl = stock_template("gw150914", FS)
-        ccf = normalized_ccf(tpl.base, tpl.base, max_lag=0.15)
         with pytest.raises(ValidationError):
-            peak_ratio_r3(ccf, tau0=0.1)
+            normalized_ccf(tpl.base, tpl.base, max_lag=0.15, tau0=0.1)
 
     def test_recompute_matches_stored(self):
         tpl = stock_template("gw150914", FS)
         ccf = normalized_ccf(tpl.base, tpl.base, max_lag=0.15)
-        r3, peaky = peak_ratio_r3(ccf, ccf.tau0)
-        assert r3 == ccf.r3
-        assert peaky == ccf.peaky
+        assert detection._r3(ccf.lags, ccf.values, ccf.tau0) == (ccf.r3, ccf.peaky)
 
 
 class TestCcfDecorrelationTime:
@@ -571,3 +549,12 @@ class TestRunningWindowCcf:
         stats = running_window_ccf(long_ts, tpl.base, hop=0.25)
         starts = [s.t_start for s in stats]
         assert starts == sorted(starts)
+
+    def test_last_window_past_the_end_stops_the_scan(self):
+        # 20 samples at 8 Hz, 7-sample template; the hop of 4.5 samples puts
+        # the fourth start at 13.5 samples, inside the loop's half-sample
+        # slack, which snaps to 14 and would run one sample past the end
+        long_ts = TimeSeries(8.0, 0.0, rng_for(15).standard_normal(20))
+        tpl = TimeSeries(8.0, 0.0, rng_for(16).standard_normal(7))
+        stats = running_window_ccf(long_ts, tpl, hop=0.5625, tau0=0.2)
+        assert [s.t_start for s in stats] == [0.0, 0.5625, 1.125]

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from gwxlab import (
+    DegeneracyError,
     FalseAlarmParams,
     GwxError,
     SCENARIO_NAMES,
     ScenarioConfig,
     TrialReport,
     ValidationError,
+    colored_noise,
+    default_detector_model,
     emit_report,
     false_alarm_rate,
     monte_carlo,
     run_scenario,
+    save_strain,
     scenario_descriptions,
 )
 from gwxlab.scenarios import ScenarioResult
@@ -108,6 +112,13 @@ class TestMonteCarlo:
         with pytest.raises(GwxError, match="trial 3"):
             monte_carlo(trial, 5, seed_base=1)
 
+    def test_errors_keep_their_class(self):
+        def trial(k, seed):
+            raise DegeneracyError("flat")
+
+        with pytest.raises(DegeneracyError, match="trial 0"):
+            monte_carlo(trial, 1, seed_base=1)
+
 
 class TestScenarioRegistry:
     def test_ten_scenarios(self):
@@ -199,3 +210,29 @@ def test_misfire_reports_both_statistics():
     for r in res.trials:
         assert "peak_rho_chi2" in r.extras
         assert r.extras["peak_rho_chi2"] <= r.peak_rho + 1e-12
+
+
+def test_h1l1_ccf_file_inputs(tmp_path):
+    model = default_detector_model()
+    inputs = {}
+    for key, seed in (("strain_a", 1), ("strain_b", 2)):
+        inputs[key] = str(tmp_path / f"{key}.gwx")
+        save_strain(colored_noise(model, 4.0, 4096.0, seed=seed), inputs[key])
+    cfg = ScenarioConfig(name="h1l1-ccf", trials=3, seed_base=5, inputs=inputs)
+    res = run_scenario(cfg, out_dir=tmp_path / "a")
+    run_scenario(cfg, out_dir=tmp_path / "b")
+    assert len(res.trials) == 1
+    assert res.trials[0].seed == cfg.seed_base
+    assert res.summary["trials"] == 1
+    assert res.summary["inputs"] == "files"
+    for f in (tmp_path / "a").iterdir():
+        assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
+
+
+def test_emit_report_rejects_non_finite_summary(tmp_path):
+    cfg = ScenarioConfig(name="mf-bogus", trials=1)
+    bad = ScenarioResult(config=cfg, trials=[TrialReport(trial_index=0, seed=1)],
+                         summary={"x": math.nan}, figures={})
+    with pytest.raises(ValidationError, match="'x'"):
+        emit_report(bad, tmp_path)
+    assert not (tmp_path / "summary.json").exists()

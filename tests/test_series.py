@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from gwxlab import (
-    ComplexSpectrum,
     DegeneracyError,
     ParseError,
     PowerSpectrum,
     TimeSeries,
     ValidationError,
-    forward_spectrum,
-    inverse_spectrum,
     load_psd_csv,
     load_strain,
-    normalize_unit_energy,
     save_psd_csv,
     save_strain,
     slice_window,
@@ -127,86 +123,6 @@ class TestSliceWindow:
         np.testing.assert_array_equal(twice.samples, once.samples)
 
 
-class TestNormalizeUnitEnergy:
-    def test_three_four_five(self):
-        out = normalize_unit_energy(TimeSeries(1.0, 0.0, [3.0, 4.0]))
-        np.testing.assert_allclose(out.samples, [0.6, 0.8], atol=1e-15)
-
-    def test_idempotent(self):
-        ts = make_noise(512, seed=5)
-        once = normalize_unit_energy(ts)
-        twice = normalize_unit_energy(once)
-        np.testing.assert_allclose(twice.samples, once.samples, atol=1e-12)
-
-    def test_unit_energy_for_random_draws(self):
-        for seed in range(10):
-            out = normalize_unit_energy(make_noise(333, seed=seed))
-            assert np.sum(out.samples**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_scale_invariance_with_sign(self):
-        ts = make_noise(128, seed=6)
-        base = normalize_unit_energy(ts)
-        for a in (0.001, 7.5, -3.0):
-            scaled = normalize_unit_energy(ts.with_samples(a * ts.samples))
-            np.testing.assert_allclose(
-                scaled.samples, np.sign(a) * base.samples, atol=1e-12
-            )
-
-    def test_zero_input(self):
-        with pytest.raises(DegeneracyError):
-            normalize_unit_energy(TimeSeries(1.0, 0.0, np.zeros(8)))
-
-
-class TestSpectrum:
-    def test_dc_series(self):
-        sp = forward_spectrum(TimeSeries(64.0, 0.0, np.full(64, 3.0)))
-        mags = sp.magnitude
-        assert np.argmax(mags) == 0
-        assert np.sum(mags[1:]) < 1e-9 * mags[0]
-
-    def test_bin_aligned_tone(self):
-        fs, n = 4096.0, 4096
-        t = np.arange(n) / fs
-        sp = forward_spectrum(TimeSeries(fs, 0.0, np.sin(2 * np.pi * 64.0 * t)))
-        assert sp.df == 1.0
-        assert np.argmax(sp.magnitude) == 64
-
-    @pytest.mark.parametrize("n", [256, 1024, 4096])
-    def test_round_trip(self, n):
-        ts = make_noise(n, seed=n)
-        for convention in ("onesided", "twosided"):
-            back = inverse_spectrum(forward_spectrum(ts, convention), t0=ts.t0)
-            err = np.max(np.abs(back.samples - ts.samples))
-            assert err < 1e-10 * np.max(np.abs(ts.samples))
-
-    @pytest.mark.parametrize("n", [256, 1024, 4096])
-    def test_parseval(self, n):
-        ts = make_noise(n, seed=n + 1)
-        sp = forward_spectrum(ts, "twosided")
-        time_energy = np.sum(ts.samples**2) / ts.fs
-        freq_energy = np.sum(np.abs(sp.bins) ** 2) * sp.df
-        assert freq_energy == pytest.approx(time_energy, rel=1e-10)
-
-    def test_round_trip_many_seeds(self):
-        for seed in range(100):
-            ts = make_noise(192, seed=seed, fs=512.0)
-            back = inverse_spectrum(forward_spectrum(ts), t0=0.0)
-            assert np.max(np.abs(back.samples - ts.samples)) < 1e-10
-
-    def test_magnitude_phase_reconstruction(self):
-        sp = forward_spectrum(make_noise(200, seed=2))
-        rebuilt = sp.magnitude * np.exp(1j * sp.phase)
-        np.testing.assert_allclose(rebuilt, sp.bins, atol=1e-12)
-
-    def test_bin_count_consistency(self):
-        with pytest.raises(ValidationError):
-            ComplexSpectrum(df=1.0, bins=np.zeros(5, complex), convention="onesided", n_time=16)
-
-    def test_too_short(self):
-        with pytest.raises(ValidationError):
-            forward_spectrum(TimeSeries(1.0, 0.0, [1.0]))
-
-
 class TestWelchPsd:
     def test_zero_signal(self):
         psd = welch_psd(TimeSeries(4096.0, 0.0, np.zeros(16384)), segment_len=2048)
@@ -259,6 +175,22 @@ class TestPowerSpectrum:
         grid = psd.interpolated(df=1.0, n_bins=7)
         # halfway between 1 and 100 in log space is 10
         assert grid[3] == pytest.approx(10.0, rel=1e-9)
+
+    def test_floored_raises_low_bins_to_the_floor(self):
+        psd = PowerSpectrum(df=1.0, values=[0.0, 1e-30, 2.0, 4.0, 6.0])
+        grid = psd.floored(df=1.0, n_bins=5)
+        # median of the positive bins is 3.0; interpolation leaves them as given
+        floor = 1e-12 * 3.0
+        np.testing.assert_allclose(grid, [floor, floor, 2.0, 4.0, 6.0], rtol=1e-12)
+
+    def test_floored_rejects_all_zero_and_nan_grids(self, monkeypatch):
+        with pytest.raises(DegeneracyError):
+            PowerSpectrum(df=1.0, values=np.zeros(8)).floored(df=1.0, n_bins=8)
+        psd = PowerSpectrum(df=1.0, values=np.ones(3))
+        monkeypatch.setattr(PowerSpectrum, "interpolated",
+                            lambda self, df, n_bins: np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(DegeneracyError):
+            psd.floored(df=1.0, n_bins=3)
 
     def test_csv_round_trip(self, tmp_path):
         psd = PowerSpectrum(df=0.5, values=np.abs(np.random.default_rng(3).standard_normal(32)))
