@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -31,7 +30,6 @@ from .scenarios import (
     SCENARIO_NAMES,
     FalseAlarmParams,
     ScenarioConfig,
-    _write_csv,
     emit_report,
     false_alarm_rate,
     run_scenario,
@@ -39,6 +37,10 @@ from .scenarios import (
 )
 from .series import (
     PowerSpectrum,
+    _json_text,
+    _read_json,
+    _write_csv,
+    _write_json,
     load_psd_csv,
     load_strain,
     save_psd_csv,
@@ -73,11 +75,9 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
+def _emit_json(obj, path: str) -> None:
+    text = _json_text(obj)
+    _write_json(path, text)
     print(text)
 
 
@@ -232,8 +232,7 @@ def _cmd_scenario(args) -> int:
     overrides = {}
     inputs = {}
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            data = json.load(fh)
+        data = _read_json(args.config)
         overrides = data.get("options", {})
         inputs = data.get("inputs", {})
     cfg = ScenarioConfig(

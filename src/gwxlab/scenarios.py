@@ -13,7 +13,6 @@ and re-runs emit byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -34,7 +33,8 @@ from .detection import (
 )
 from .errors import GwxError, ValidationError
 from .rng import derive_seed, rng_for
-from .series import PowerSpectrum, TimeSeries, load_strain, slice_window
+from .series import (PowerSpectrum, TimeSeries, _json_text, _write_csv, _write_json,
+                     load_strain, slice_window)
 from .simulation import (
     BurstSpec,
     PsdLine,
@@ -175,7 +175,7 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
             reports.append(trial_fn(k, seed))
         except GwxError as exc:
             # same class, so the CLI still tells bad input from degenerate data
-            raise type(exc)(f"{name}: trial {k} (seed {seed}) failed: {exc}") from exc
+            raise type(exc)(f"{name}: trial {k} (seed_base {seed_base}) failed: {exc}") from exc
     reports.sort(key=lambda r: r.trial_index)
     stats = {
         "trials": trials,
@@ -695,41 +695,6 @@ _TRIAL_COLUMNS = ["trial_index", "seed", "peak_rho", "peak_abs_ccf", "r3",
                   "fired", "peaky"]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):  # numpy float64 included
-        return repr(float(value))
-    if value is None:
-        return ""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: str, header, rows) -> None:
-    """Write one CSV table; the reports and the CLI both write through it.
-
-    Nothing needs CSV quoting: headers are identifiers, and cells are
-    numbers, booleans or empty.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
-
-
-def _non_finite_keys(obj, path: str = ""):
-    """Paths (``a.b[2]``) of the NaN and infinite floats in a JSON-like value."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _non_finite_keys(v, f"{path}.{k}" if path else str(k))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _non_finite_keys(v, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        yield path
-
-
 def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]:
     """Write ``summary.json``, ``trials.csv``, and per-figure CSVs.
 
@@ -738,19 +703,12 @@ def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]
     """
     if not result.trials:
         raise ValidationError("nothing to report: no trials")
-    bad = sorted(_non_finite_keys(result.summary))
-    if bad:
-        raise ValidationError(
-            f"summary values must be finite to be written as JSON; "
-            f"not finite: {', '.join(map(repr, bad))}"
-        )
-    summary = json.dumps(result.summary, indent=2, sort_keys=True, allow_nan=False)
+    summary = _json_text(result.summary)  # raises before anything is created
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(summary + "\n")
+    _write_json(path, summary)
     written.append(path)
 
     extra_keys = sorted({k for r in result.trials for k in r.extras})

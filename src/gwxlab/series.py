@@ -1,4 +1,8 @@
-"""Time-series container, windowing, strain and PSD files, and Welch PSD.
+"""Time-series container, windowing, Welch PSD, and every file format.
+
+Every file the lab reads or writes goes through this module: gwx-text
+strain, CSV tables (PSDs, reports, CLI outputs) and JSON (summaries,
+PSD models, template metadata, scenario configs).
 
 Everything downstream (conditioning, templates, detection, simulation)
 moves data around as :class:`TimeSeries` and :class:`PowerSpectrum`
@@ -13,6 +17,8 @@ from __future__ import annotations
 
 import csv as _csv
 import io
+import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -160,7 +166,15 @@ class PowerSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# strain file formats
+# file formats: every file the lab reads or writes goes through these helpers
+
+
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.fspath(path)}: not an ASCII text file: {exc}") from exc
 
 
 def _parse_header_line(line: str, lineno: int, key: str) -> str:
@@ -170,29 +184,8 @@ def _parse_header_line(line: str, lineno: int, key: str) -> str:
     return line[len(prefix):]
 
 
-def load_strain(path: str | os.PathLike, format: str = "gwx-text") -> TimeSeries:
-    """Read a strain file.
-
-    ``gwx-text`` is the native header-plus-samples format written by
-    :func:`save_strain`; ``csv`` expects a ``t_s,strain`` table with a
-    uniform time column.
-    """
-    if format == "gwx-text":
-        return _load_gwx(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValidationError(f"unknown strain format {format!r}")
-
-
-def _read_text(path) -> str:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not a text strain file: {exc}") from exc
-
-
-def _load_gwx(path) -> TimeSeries:
+def load_strain(path: str | os.PathLike) -> TimeSeries:
+    """Read a gwx-text strain file written by :func:`save_strain`."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0] != GWX_MAGIC:
         raise ParseError(f"line 1: expected {GWX_MAGIC!r}")
@@ -202,8 +195,6 @@ def _load_gwx(path) -> TimeSeries:
         fs = float(_parse_header_line(lines[1], 2, "fs_hz"))
         t0 = float(_parse_header_line(lines[2], 3, "t0_s"))
         n = int(_parse_header_line(lines[3], 4, "n"))
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(f"malformed header value: {exc}") from exc
     body = lines[4:]
@@ -223,58 +214,14 @@ def _load_gwx(path) -> TimeSeries:
     return TimeSeries(fs=fs, t0=t0, samples=samples)
 
 
-def _load_csv(path) -> TimeSeries:
-    reader = _csv.reader(io.StringIO(_read_text(path)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: empty file") from None
-    if header != ["t_s", "strain"]:
-        raise ParseError(f"line 1: expected header 't_s,strain', got {header!r}")
-    t, x = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"line {lineno}: expected two columns, got {len(row)}")
-        try:
-            t.append(float(row[0]))
-            x.append(float(row[1]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-numeric value: {exc}") from exc
-    if len(t) < 2:
-        raise ParseError("csv strain needs at least two rows to define a sample rate")
-    t_arr = np.asarray(t)
-    steps = np.diff(t_arr)
-    if np.any(steps <= 0):
-        raise ParseError("time column must be strictly increasing")
-    mean_step = float(np.mean(steps))
-    if np.max(np.abs(steps - mean_step)) > 1e-6 * mean_step:
-        raise ParseError("time column is not uniformly sampled")
-    return TimeSeries(fs=1.0 / mean_step, t0=float(t_arr[0]), samples=np.asarray(x))
-
-
-def save_strain(ts: TimeSeries, path: str | os.PathLike, format: str = "gwx-text") -> None:
-    """Write a strain file; gwx-text round-trips bit-exactly through repr."""
-    if format == "gwx-text":
-        buf = io.StringIO()
-        buf.write(f"{GWX_MAGIC}\n")
-        buf.write(f"# fs_hz={ts.fs!r}\n")
-        buf.write(f"# t0_s={ts.t0!r}\n")
-        buf.write(f"# n={ts.n}\n")
-        for v in ts.samples:
-            buf.write(f"{float(v)!r}\n")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(buf.getvalue())
-        return
-    if format == "csv":
-        times = ts.times()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("t_s,strain\n")
-            for tv, xv in zip(times, ts.samples):
-                fh.write(f"{float(tv)!r},{float(xv)!r}\n")
-        return
-    raise ValidationError(f"unknown strain format {format!r}")
+def save_strain(ts: TimeSeries, path: str | os.PathLike) -> None:
+    """Write a gwx-text strain file; it round-trips bit-exactly through repr."""
+    buf = io.StringIO()
+    buf.write(f"{GWX_MAGIC}\n# fs_hz={ts.fs!r}\n# t0_s={ts.t0!r}\n# n={ts.n}\n")
+    for v in ts.samples:
+        buf.write(f"{float(v)!r}\n")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(buf.getvalue())
 
 
 def load_psd_csv(path) -> PowerSpectrum:
@@ -287,10 +234,12 @@ def load_psd_csv(path) -> PowerSpectrum:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != 2:
+            raise ParseError(f"line {lineno}: expected two columns 'f_hz,psd', got {len(row)}")
         try:
             f.append(float(row[0]))
             v.append(float(row[1]))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: bad row: {exc}") from exc
     if len(f) < 2:
         raise ParseError("PSD csv needs at least two rows")
@@ -304,10 +253,75 @@ def load_psd_csv(path) -> PowerSpectrum:
 
 
 def save_psd_csv(psd: PowerSpectrum, path) -> None:
+    _write_csv(path, ["f_hz", "psd"], zip(psd.frequencies(), psd.values))
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, float):  # numpy float64 included
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write one CSV table: PSD tables, report tables and CLI tables.
+
+    Nothing needs CSV quoting: headers are identifiers, and cells are
+    numbers, booleans or empty.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("f_hz,psd\n")
-        for fv, pv in zip(psd.frequencies(), psd.values):
-            fh.write(f"{float(fv)!r},{float(pv)!r}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+
+
+def _non_finite_keys(obj, path: str = ""):
+    """Paths (``a.b[2]``) of the NaN and infinite floats in a JSON-like value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _non_finite_keys(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _non_finite_keys(v, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield path
+
+
+def _json_text(obj) -> str:
+    """The lab's JSON layout: sorted keys, 2-space indent, ASCII, finite numbers."""
+    bad = sorted(_non_finite_keys(obj))
+    if bad:
+        raise ValidationError(
+            f"values must be finite to be written as JSON; "
+            f"not finite: {', '.join(map(repr, bad))}"
+        )
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_json(path, text: str) -> None:
+    """Write :func:`_json_text` output plus a final LF."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text + "\n")
+
+
+def _read_json(path) -> dict:
+    """Read a JSON object; malformed JSON or another top-level value is a ParseError."""
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{os.fspath(path)}: line {exc.lineno} column {exc.colno}: "
+            f"invalid JSON: {exc.msg}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ParseError(
+            f"{os.fspath(path)}: expected a JSON object, got {type(data).__name__}"
+        )
+    return data
 
 
 # ---------------------------------------------------------------------------

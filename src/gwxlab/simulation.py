@@ -8,7 +8,6 @@ which gives exact spectral control and bit-reproducible output per seed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .rng import rng_for
-from .series import PowerSpectrum, TimeSeries
+from .series import PowerSpectrum, TimeSeries, _json_text, _read_json, _write_json
 
 __all__ = [
     "PsdSegment",
@@ -139,14 +138,11 @@ class PsdModel:
             raise ValidationError(f"bad PSD model config: {exc}") from exc
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, _json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PsdModel":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
 
 def default_detector_model() -> PsdModel:

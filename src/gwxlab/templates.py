@@ -9,7 +9,6 @@ chirp-like waveforms that differ substantially from the original.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import scipy.signal
 
 from .errors import DegeneracyError, ValidationError
 from .rng import rng_for
-from .series import TimeSeries, load_strain, save_strain
+from .series import TimeSeries, _json_text, _read_json, _write_json, load_strain, save_strain
 
 __all__ = [
     "Template",
@@ -305,15 +304,12 @@ def save_template(tpl: Template, basename: str | os.PathLike) -> tuple[str, str]
         "duration_s": tpl.base.duration,
         "waveform": os.path.basename(wav),
     }
-    with open(meta, "w", encoding="ascii") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta, _json_text(info))
     return wav, meta
 
 
 def load_template(basename: str | os.PathLike) -> Template:
     """Read a template saved by :func:`save_template`, re-extracting phase."""
-    with open(f"{basename}.json", "r", encoding="ascii") as fh:
-        info = json.load(fh)
+    info = _read_json(f"{basename}.json")
     base = load_strain(f"{basename}.gwx")
     return extract_phase_amplitude(base, carrier_f0=float(info.get("f0_hz", 0.0)))

@@ -106,6 +106,15 @@ class TestBasicCommands:
         header = (tmp_path / "running.csv").read_text().splitlines()[0]
         assert header == "t_start_s,peak_abs_ccf,r3"
 
+    def test_readme_ccf_chain(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert run("noise", "--duration", "1", "--seed", "1", "--name", "a.gwx",
+                   "--out", out) == 0
+        assert run("noise", "--duration", "1", "--seed", "2", "--name", "b.gwx",
+                   "--out", out) == 0
+        assert run("ccf", "--a", f"{out}/a.gwx", "--b", f"{out}/b.gwx",
+                   "--max-lag", "0.5", "--out", out) == 0
+
     def test_far(self, capsys):
         assert run("far", "--nb", "0", "--t", "1", "--tb", "1") == 0
         value = float(capsys.readouterr().out.strip())
@@ -171,3 +180,32 @@ class TestExitCodes:
     def test_unwritable_output_dir(self, tmp_path, noise_file):
         assert run("bandpass", "--strain", str(noise_file), "--band", "43:300",
                    "--out", "/proc/nope") == 2
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("text, detail", [
+        ('{"options": {"n_windows": 3', "line 1 column 28"),
+        ("[]", "expected a JSON object, got list"),
+    ])
+    def test_scenario_config(self, tmp_path, capsys, text, detail):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run("scenario", "run", "h1l1-ccf", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and detail in err
+
+    def test_noise_psd_model(self, tmp_path, capsys):
+        config = tmp_path / "model.json"
+        config.write_text('{"segments": [{"f_hz": 1.0,\n "level": }]}')
+        assert run("noise", "--duration", "1", "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+        assert "line 2 column 11" in capsys.readouterr().err
+
+    def test_bogus_template_metadata(self, tmp_path, capsys):
+        assert run("template", "--kind", "gw150914", "--fs", "1024",
+                   "--out", str(tmp_path)) == 0
+        (tmp_path / "gw150914.json").write_text('{"f0_hz": 0.0,')
+        assert run("bogus", "--template", str(tmp_path / "gw150914"),
+                   "--out", str(tmp_path)) == 2
+        assert "gw150914.json" in capsys.readouterr().err

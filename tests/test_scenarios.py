@@ -9,6 +9,7 @@ from gwxlab import (
     GwxError,
     SCENARIO_NAMES,
     ScenarioConfig,
+    TimeSeries,
     TrialReport,
     ValidationError,
     colored_noise,
@@ -228,6 +229,16 @@ def test_h1l1_ccf_file_inputs(tmp_path):
     for f in (tmp_path / "a").iterdir():
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
+
+
+def test_failed_trial_names_the_seed_base(tmp_path):
+    inputs = {}
+    for key in ("strain_a", "strain_b"):
+        inputs[key] = str(tmp_path / f"{key}.gwx")
+        save_strain(TimeSeries(4096.0, 0.0, np.zeros(4 * 4096)), inputs[key])
+    cfg = ScenarioConfig(name="h1l1-ccf", trials=1, seed_base=5, inputs=inputs)
+    with pytest.raises(DegeneracyError, match=r"trial 0 \(seed_base 5\) failed"):
+        run_scenario(cfg)
 
 def test_emit_report_rejects_non_finite_summary(tmp_path):
     cfg = ScenarioConfig(name="mf-bogus", trials=1)

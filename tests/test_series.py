@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwxlab import (
     DegeneracyError,
@@ -83,19 +88,29 @@ class TestGwxFormat:
         with pytest.raises(ParseError, match="line 6"):
             load_strain(path)
 
-    def test_csv_round_trip_values(self, tmp_path):
-        ts = make_noise(256, seed=9)
-        path = tmp_path / "a.csv"
-        save_strain(ts, path, format="csv")
-        back = load_strain(path, format="csv")
-        assert back.fs == pytest.approx(ts.fs, rel=1e-9)
-        np.testing.assert_allclose(back.samples, ts.samples)
 
-    def test_csv_needs_header(self, tmp_path):
-        path = tmp_path / "a.csv"
-        path.write_text("time,value\n0.0,1.0\n")
-        with pytest.raises(ParseError, match="line 1"):
-            load_strain(path, format="csv")
+class TestGwxRoundTripProperty:
+    """Any finite float64 samples, fs and t0 survive save/load bit for bit."""
+
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             1.7976931348623157e308, -1.7976931348623157e308])
+    finite = st.one_of(edges, st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(finite, min_size=1, max_size=64),
+        fs=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        t0=finite,
+    )
+    def test_bit_exact(self, samples, fs, t0):
+        ts = TimeSeries(fs, t0, samples)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.gwx")
+            save_strain(ts, path)
+            back = load_strain(path)
+        assert np.float64(back.fs).tobytes() == np.float64(fs).tobytes()
+        assert np.float64(back.t0).tobytes() == np.float64(t0).tobytes()
+        assert back.samples.tobytes() == ts.samples.tobytes()  # sign of zero included
 
 
 class TestSliceWindow:
@@ -199,3 +214,16 @@ class TestPowerSpectrum:
         back = load_psd_csv(path)
         assert back.df == psd.df
         np.testing.assert_array_equal(back.values, psd.values)
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "p.csv"
+        save_psd_csv(PowerSpectrum(df=0.5, values=[1e-46, 2.5, 0.0]), path)
+        assert path.read_bytes() == b"f_hz,psd\n0.0,1e-46\n0.5,2.5\n1.0,0.0\n"
+
+    @pytest.mark.parametrize("row, columns", [("0.5,1.0,9", 3), ("0.5", 1)])
+    def test_csv_rows_need_two_columns(self, tmp_path, row, columns):
+        path = tmp_path / "p.csv"
+        path.write_text(f"f_hz,psd\n0.0,1.0\n{row}\n1.0,1.0\n")
+        with pytest.raises(ParseError,
+                           match=f"line 3: expected two columns 'f_hz,psd', got {columns}"):
+            load_psd_csv(path)

@@ -4,6 +4,7 @@ import pytest
 from gwxlab import (
     BurstSpec,
     DegeneracyError,
+    ParseError,
     PsdLine,
     PsdModel,
     PsdSegment,
@@ -56,6 +57,17 @@ class TestPsdModel:
     def test_bad_config(self):
         with pytest.raises(ValidationError):
             PsdModel.from_dict({"lines": []})
+
+    def test_save_refuses_non_finite_level(self, tmp_path):
+        model = PsdModel(segments=(PsdSegment(f_hz=1.0, level=np.inf, slope=0.0),))
+        with pytest.raises(ValidationError, match="segments\\[0\\].level"):
+            model.save(tmp_path / "m.json")
+
+    def test_load_rejects_malformed_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"segments": [')
+        with pytest.raises(ParseError, match="m.json: line 1 column 15"):
+            PsdModel.load(path)
 
     def test_segments_sorted(self):
         with pytest.raises(ValidationError):

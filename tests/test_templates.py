@@ -257,6 +257,13 @@ class TestTemplateFiles:
         np.testing.assert_allclose(back.base.samples, tpl.base.samples)
         assert rel_l2(synthesize_fm(back).samples, tpl.base.samples) <= 0.05
 
+    def test_metadata_bytes(self, tmp_path):
+        save_template(stock_template("gw151226", 1024.0), tmp_path / "t")
+        assert (tmp_path / "t.json").read_bytes() == (
+            b'{\n  "duration_s": 1.0,\n  "f0_hz": 56.0,\n  "fs_hz": 1024.0,\n'
+            b'  "waveform": "t.gwx"\n}\n'
+        )
+
     def test_unknown_stock_name(self):
         with pytest.raises(ValidationError):
             stock_template("gw999999")
