@@ -16,7 +16,6 @@ from .conditioning import (
 from .detection import (
     CcfResult,
     MfConfig,
-    Peak,
     R3_THRESHOLD,
     SNR_THRESHOLD,
     RunningWindowStat,
@@ -66,15 +65,12 @@ from .scenarios import (
 )
 from .templates import (
     BogusSpec,
-    STOCK_TEMPLATES,
     Template,
-    energy_fraction,
     extract_phase_amplitude,
     load_template,
     make_bogus,
     save_template,
     stock_template,
-    synthesize_fm,
     template_error,
 )
 

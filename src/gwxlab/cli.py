@@ -25,7 +25,7 @@ from .detection import (
     normalized_ccf,
     running_window_ccf,
 )
-from .errors import DegeneracyError, GwxError, ValidationError
+from .errors import DegeneracyError, GwxError, ParseError, ValidationError
 from .scenarios import (
     SCENARIO_NAMES,
     FalseAlarmParams,
@@ -75,6 +75,14 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _save_out(args, ts) -> int:
+    """Write ``ts`` as gwx-text to ``--out/--name`` and print the path."""
+    path = _out_path(args, args.name)
+    save_strain(ts, path)
+    print(path)
+    return 0
+
+
 def _emit_json(obj, path: str) -> None:
     text = _json_text(obj)
     _write_json(path, text)
@@ -87,11 +95,7 @@ def _emit_json(obj, path: str) -> None:
 
 def _cmd_noise(args) -> int:
     model = PsdModel.load(args.config) if args.config else default_detector_model()
-    ts = colored_noise(model, args.duration, args.fs, seed=args.seed)
-    path = _out_path(args, args.name)
-    save_strain(ts, path)
-    print(path)
-    return 0
+    return _save_out(args, colored_noise(model, args.duration, args.fs, seed=args.seed))
 
 
 def _cmd_template(args) -> int:
@@ -107,21 +111,11 @@ def _cmd_bogus(args) -> int:
     tpl = load_template(args.template) if args.template else stock_template(args.kind, args.fs)
     spec = BogusSpec(sigma_phase=args.sigma_phase, sigma_amp=args.sigma_amp,
                      smoothing_bw=args.smooth_bw, seed=args.seed)
-    bogus = make_bogus(tpl, spec)
-    path = _out_path(args, args.name)
-    save_strain(bogus, path)
-    print(path)
-    return 0
+    return _save_out(args, make_bogus(tpl, spec))
 
 
 def _cmd_inject(args) -> int:
-    host = load_strain(args.host)
-    signal = load_strain(args.signal)
-    out = inject(host, signal, args.at)
-    path = _out_path(args, args.name)
-    save_strain(out, path)
-    print(path)
-    return 0
+    return _save_out(args, inject(load_strain(args.host), load_strain(args.signal), args.at))
 
 
 def _cmd_psd(args) -> int:
@@ -138,27 +132,18 @@ def _cmd_whiten(args) -> int:
     ts = load_strain(args.strain)
     psd = _load_psd(args.psd, ts.fs)
     if args.whiten == "full":
-        out = whiten_full(ts, psd)
-    else:
-        bands = detect_lines(psd, threshold_ratio=args.line_threshold,
-                             median_window_hz=args.line_window_hz)
-        out = whiten_localized(ts, psd, bands,
-                               median_window_hz=args.line_window_hz)
-    path = _out_path(args, args.name)
-    save_strain(out, path)
-    print(path)
-    return 0
+        return _save_out(args, whiten_full(ts, psd))
+    bands = detect_lines(psd, threshold_ratio=args.line_threshold,
+                         median_window_hz=args.line_window_hz)
+    return _save_out(args, whiten_localized(ts, psd, bands,
+                                            median_window_hz=args.line_window_hz))
 
 
 def _cmd_bandpass(args) -> int:
     ts = load_strain(args.strain)
     f_lo, f_hi = _parse_pair(args.band, "f_lo:f_hi")
-    out = butterworth_bandpass(ts, f_lo, f_hi, order=args.order,
-                               zero_phase=not args.causal)
-    path = _out_path(args, args.name)
-    save_strain(out, path)
-    print(path)
-    return 0
+    return _save_out(args, butterworth_bandpass(ts, f_lo, f_hi, order=args.order,
+                                                zero_phase=not args.causal))
 
 
 def _cmd_mf(args) -> int:
@@ -229,19 +214,18 @@ def _cmd_scenario(args) -> int:
         return 0
     if not args.scenario_name:
         raise ValidationError("scenario run needs a scenario name")
-    overrides = {}
-    inputs = {}
-    if args.config:
-        data = _read_json(args.config)
-        overrides = data.get("options", {})
-        inputs = data.get("inputs", {})
+    data = _read_json(args.config) if args.config else {}
+    sections = {key: data.get(key, {}) for key in ("options", "inputs")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise ParseError(f"{args.config}: {key!r} must be a JSON object, "
+                             f"got {type(value).__name__}")
     cfg = ScenarioConfig(
         name=args.scenario_name,
         trials=args.trials,
         seed_base=args.seed,
         fs=args.fs,
-        options=overrides,
-        inputs=inputs,
+        **sections,
     )
     result = run_scenario(cfg)
     out_dir = os.path.join(args.out, cfg.name)
@@ -267,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matched-filter and short-window CCF detection lab "
                     "for strain-like time series.",
     )
-    parser.add_argument("--list-scenarios", action="store_true",
-                        help="print the scenario names and exit")
     sub = parser.add_subparsers(dest="command")
 
     def common(p, *reads):
@@ -390,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.list_scenarios:
-        for name in SCENARIO_NAMES:
-            print(name)
-        return 0
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
@@ -402,13 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneracyError as exc:
         print(f"error (degenerate input): {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GwxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GwxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

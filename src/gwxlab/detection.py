@@ -56,7 +56,6 @@ __all__ = [
     "MfConfig",
     "SnrSeries",
     "CcfResult",
-    "Peak",
     "RunningWindowStat",
     "R3_THRESHOLD",
     "SNR_THRESHOLD",
@@ -119,7 +118,6 @@ class SnrSeries:
     rho_reweighted: np.ndarray
     sigma: float
     mode: str
-    band: tuple[float, float] | None = None
     chi2_reduced: np.ndarray | None = None
 
     def __post_init__(self):
@@ -421,7 +419,7 @@ def matched_filter(
         rho_rw = rho
     return SnrSeries(
         fs=strain.fs, t0=strain.t0, rho=rho, rho_reweighted=rho_rw,
-        sigma=sigma, mode=cfg.mode, band=cfg.band, chi2_reduced=chi2_r,
+        sigma=sigma, mode=cfg.mode, chi2_reduced=chi2_r,
     )
 
 

@@ -77,8 +77,6 @@ class ScenarioConfig:
     trials: int = 100
     seed_base: int = 20250809
     fs: float = 4096.0
-    snr_threshold: float = SNR_THRESHOLD
-    r3_threshold: float = R3_THRESHOLD
     options: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
 
@@ -91,8 +89,6 @@ class ScenarioConfig:
             raise ValidationError("trials must be >= 1")
         if self.fs <= 0:
             raise ValidationError("fs must be positive")
-        if self.snr_threshold <= 0 or self.r3_threshold <= 0:
-            raise ValidationError("thresholds must be positive")
 
     def opt(self, key, default):
         return self.options.get(key, default)
@@ -255,9 +251,9 @@ def _misfire_scenario(cfg: ScenarioConfig, burst_kind: str) -> ScenarioResult:
         return TrialReport(
             trial_index=k, seed=seed,
             peak_rho=peak_plain,
-            fired=peak_plain > cfg.snr_threshold,
+            fired=peak_plain > SNR_THRESHOLD,
             extras={"peak_rho_chi2": peak_chi2,
-                    "fired_chi2": peak_chi2 > cfg.snr_threshold},
+                    "fired_chi2": peak_chi2 > SNR_THRESHOLD},
         )
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
@@ -314,7 +310,7 @@ def _scenario_mf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
             )
             figures["snr.csv"] = _snr_figure(snr)
         return TrialReport(trial_index=k, seed=seed, peak_rho=float(peak),
-                           fired=peak > cfg.snr_threshold,
+                           fired=peak > SNR_THRESHOLD,
                            extras={"rel_l2_vs_ideal": rel})
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
@@ -569,19 +565,15 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
     band = cfg.opt("band", (43.0, 300.0))
     edge = cfg.opt("edge_exclusion", 2.0)
     psd = model.to_power_spectrum(0.125, 16385)
-    tau0 = decorrelation_time(
-        _whiten_and_band(
-            inject(TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs))), tpl.base, 2.0),
-            psd, band))
+    tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
+    tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band)
+    tau0 = decorrelation_time(tpl_padded)
+    tpl_proc = slice_window(tpl_padded, 2.0, tpl.base.duration)
     figures = {}
 
     def trial(k: int, seed: int) -> TrialReport:
-        noise = colored_noise(model, duration, cfg.fs, seed=seed)
-        processed = _whiten_and_band(noise, psd, band)
-        tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
-        tpl_proc = slice_window(
-            _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band),
-            2.0, tpl.base.duration)
+        processed = _whiten_and_band(colored_noise(model, duration, cfg.fs, seed=seed),
+                                     psd, band)
         exclusions = list(cfg.opt("exclusions", []))
         exclusions += [(0.0, edge), (duration - edge, duration)]
         stats_list = running_window_ccf(processed, tpl_proc, hop=hop,
@@ -596,7 +588,7 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=float(np.max(peaks)),
                            r3=float(np.median(r3s)),
-                           peaky=bool(np.any(r3s < cfg.r3_threshold)),
+                           peaky=bool(np.any(r3s < R3_THRESHOLD)),
                            extras={"n_windows": len(stats_list),
                                    "median_peak_abs_ccf": float(np.median(peaks))})
 
@@ -632,7 +624,7 @@ def _scenario_circular_artifact(cfg: ScenarioConfig) -> ScenarioResult:
         figures["snr_cyclic_prefix.csv"] = _snr_figure(cyc)
         return TrialReport(trial_index=k, seed=cfg.seed_base,
                            peak_rho=circ.peak.value,
-                           fired=circ.peak.value > cfg.snr_threshold,
+                           fired=circ.peak.value > SNR_THRESHOLD,
                            extras={"peak_time_circular_s": circ.peak.time,
                                    "peak_time_cyclic_prefix_s": cyc.peak.time,
                                    "separation_s": separation,
@@ -682,7 +674,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) 
         "scenario": cfg.name,
         "seed_base": cfg.seed_base,
         "fs_hz": cfg.fs,
-        "thresholds": {"snr": cfg.snr_threshold, "r3": cfg.r3_threshold},
+        "thresholds": {"snr": SNR_THRESHOLD, "r3": R3_THRESHOLD},
         **result.summary,
     }
     result = replace(result, summary=summary)

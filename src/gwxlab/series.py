@@ -93,10 +93,6 @@ class TimeSeries:
         return self.samples.size
 
     @property
-    def dt(self) -> float:
-        return 1.0 / self.fs
-
-    @property
     def duration(self) -> float:
         return self.samples.size / self.fs
 
@@ -156,13 +152,6 @@ class PowerSpectrum:
         if not np.all(values > 0):
             raise DegeneracyError("PSD still holds zero or NaN bins after flooring")
         return values
-
-    def band_mean(self, f_lo: float, f_hi: float) -> float:
-        f = self.frequencies()
-        mask = (f >= f_lo) & (f <= f_hi)
-        if not np.any(mask):
-            raise ValidationError(f"band {f_lo}..{f_hi} Hz covers no PSD bins")
-        return float(np.mean(self.values[mask]))
 
 
 # ---------------------------------------------------------------------------

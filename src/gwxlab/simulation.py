@@ -134,7 +134,7 @@ class PsdModel:
                 lines=tuple(PsdLine(**l) for l in data.get("lines", [])),
                 f_floor_hz=float(data.get("f_floor_hz", 1.0)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad PSD model config: {exc}") from exc
 
     def save(self, path: str | os.PathLike) -> None:
@@ -192,22 +192,12 @@ def _noise_scale(model: PsdModel, n: int, fs: float) -> np.ndarray:
     return scale
 
 
-def colored_noise(
-    model: PsdModel,
-    duration: float,
-    fs: float,
-    seed: int,
-    std_segments: list[tuple[float, float, float]] | None = None,
-) -> TimeSeries:
+def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> TimeSeries:
     """Gaussian noise whose one-sided PSD follows ``model``.
 
     Frequency-domain synthesis: independent complex-normal draws per bin
     scaled by sqrt(PSD * n * fs / 2), inverse-transformed to time.  The
-    DC bin is zeroed.  ``std_segments`` optionally applies piecewise
-    standard-deviation factors ``(t_start, t_end, factor)`` afterwards,
-    for non-stationarity studies; default off.
-
-    Deterministic per seed.
+    DC bin is zeroed.  Deterministic per seed.
     """
     n = int(round(duration * fs))
     if n < 2:
@@ -222,14 +212,7 @@ def colored_noise(
     if n % 2 == 0:
         # real Nyquist bin; one-sided density there has no factor 2
         bins[-1] = re[-1] * scale[-1] * math.sqrt(2.0)
-    x = np.fft.irfft(bins, n=n)
-    if std_segments:
-        t = np.arange(n) / fs
-        for t_a, t_b, factor in std_segments:
-            if factor <= 0:
-                raise ValidationError("std modulation factors must be positive")
-            x[(t >= t_a) & (t < t_b)] *= factor
-    return TimeSeries(fs=fs, t0=0.0, samples=x)
+    return TimeSeries(fs=fs, t0=0.0, samples=np.fft.irfft(bins, n=n))
 
 
 @dataclass(frozen=True)

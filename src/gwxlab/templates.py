@@ -1,4 +1,4 @@
-"""Chirp templates: phase/envelope extraction, synthesis, and bogus variants.
+"""Chirp templates: phase/envelope extraction, stock chirps, and bogus variants.
 
 A template is carried as instantaneous phase ``m(t)`` and envelope
 ``a(t)`` around an optional carrier ``f0``, reconstructing as
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.integrate
 import scipy.signal
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
 from .series import TimeSeries, _json_text, _read_json, _write_json, load_strain, save_strain
 
@@ -24,12 +24,9 @@ __all__ = [
     "Template",
     "BogusSpec",
     "extract_phase_amplitude",
-    "synthesize_fm",
     "make_bogus",
     "template_error",
-    "energy_fraction",
     "stock_template",
-    "STOCK_TEMPLATES",
     "save_template",
     "load_template",
 ]
@@ -39,9 +36,9 @@ __all__ = [
 class Template:
     """Chirp reference decomposed into phase and envelope.
 
-    ``base`` holds the waveform the decomposition came from;
-    ``synthesize_fm`` rebuilds ``envelope * cos(2*pi*f0*t + phase)`` on
-    the same time grid.
+    ``base`` holds the waveform the decomposition came from; on the same
+    time grid it equals ``envelope * cos(2*pi*f0*t + phase)`` up to the
+    accuracy of the decomposition.
     """
 
     base: TimeSeries
@@ -75,10 +72,6 @@ class Template:
     def fs(self) -> float:
         return self.base.fs
 
-    def instantaneous_frequency(self) -> np.ndarray:
-        """f0 + dm/dt / 2pi, via central differences."""
-        return self.f0 + np.gradient(self.phase) * self.fs / (2.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class BogusSpec:
@@ -89,19 +82,19 @@ class BogusSpec:
     (relative to the envelope RMS).  The raw white noise is low-passed at
     ``smoothing_bw`` Hz and rescaled to the exact target deviation, so
     bogus templates stay chirp-like instead of turning into broadband
-    hash; ``smoothing_bw=None`` skips the smoothing.
+    hash; at or above fs/2 the smoothing is skipped.
     """
 
     sigma_phase: float
     sigma_amp: float = 0.0
-    smoothing_bw: float | None = 64.0
+    smoothing_bw: float = 64.0
     seed: int = 0
 
     def __post_init__(self):
         if self.sigma_phase < 0 or self.sigma_amp < 0:
             raise ValidationError("noise deviations must be nonnegative")
-        if self.smoothing_bw is not None and self.smoothing_bw <= 0:
-            raise ValidationError("smoothing_bw must be positive or None")
+        if self.smoothing_bw <= 0:
+            raise ValidationError("smoothing_bw must be positive")
 
 
 def extract_phase_amplitude(h: TimeSeries, carrier_f0: float = 0.0) -> Template:
@@ -136,15 +129,10 @@ def _synthesize(fs: float, t0: float, phase, envelope, f0: float) -> TimeSeries:
     return TimeSeries(fs, t0, envelope * np.cos(2.0 * np.pi * f0 * t + phase))
 
 
-def synthesize_fm(tpl: Template) -> TimeSeries:
-    """Rebuild ``envelope * cos(2*pi*f0*t + phase)`` on the base grid."""
-    return _synthesize(tpl.fs, tpl.base.t0, tpl.phase, tpl.envelope, tpl.f0)
-
-
-def _shaped_noise(rng, n: int, fs: float, smoothing_bw: float | None) -> np.ndarray:
-    """Unit-std Gaussian noise, optionally low-passed then re-normalized."""
+def _shaped_noise(rng, n: int, fs: float, smoothing_bw: float) -> np.ndarray:
+    """Unit-std Gaussian noise, low-passed below fs/2, then re-normalized."""
     w = rng.standard_normal(n)
-    if smoothing_bw is not None and smoothing_bw < fs / 2:
+    if smoothing_bw < fs / 2:
         sos = scipy.signal.butter(4, smoothing_bw, btype="lowpass", fs=fs, output="sos")
         w = scipy.signal.sosfiltfilt(sos, w)
     std = float(np.std(w))
@@ -157,7 +145,7 @@ def make_bogus(tpl: Template, spec: BogusSpec) -> TimeSeries:
     """Synthesize a bogus template with noisy phase (and envelope).
 
     Deterministic for a fixed seed; with both deviations zero the output
-    equals :func:`synthesize_fm` exactly.
+    is ``envelope * cos(2*pi*f0*t + phase)`` on the base grid exactly.
     """
     rng = rng_for(spec.seed)
     n = tpl.base.n
@@ -183,43 +171,6 @@ def template_error(ideal: TimeSeries, candidate: TimeSeries) -> tuple[TimeSeries
     if denom <= 0.0:
         raise DegeneracyError("ideal series has zero energy")
     return ideal.with_samples(err), float(np.linalg.norm(err) / denom)
-
-
-def energy_fraction(
-    ts: TimeSeries,
-    band: tuple[float, float] | None = None,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Fraction of total energy inside a frequency band or a time window."""
-    if (band is None) == (window is None):
-        raise ValidationError("pass exactly one of band= or window=")
-    total = float(np.dot(ts.samples, ts.samples))
-    if total <= 0.0:
-        raise DegeneracyError("zero-energy series has no energy fraction")
-    if band is not None:
-        f_lo, f_hi = band
-        if not (0.0 <= f_lo < f_hi <= ts.fs / 2):
-            raise ValidationError(
-                f"band must satisfy 0 <= f_lo < f_hi <= fs/2, got {f_lo}..{f_hi}"
-            )
-        spec = np.fft.rfft(ts.samples)
-        power = np.abs(spec) ** 2
-        weights = np.full(power.size, 2.0)
-        weights[0] = 1.0
-        if ts.n % 2 == 0:
-            weights[-1] = 1.0
-        freqs = np.arange(power.size) * (ts.fs / ts.n)
-        sel = (freqs >= f_lo) & (freqs <= f_hi)
-        return float(np.sum(weights[sel] * power[sel]) / np.sum(weights * power))
-    t_a, t_b = window
-    if not (t_a < t_b):
-        raise ValidationError(f"window must satisfy t_a < t_b, got {t_a}..{t_b}")
-    if t_a < ts.t0 - 0.5 / ts.fs or t_b > ts.t0 + ts.duration + 0.5 / ts.fs:
-        raise ValidationError("window falls outside the series span")
-    i0 = max(int(round((t_a - ts.t0) * ts.fs)), 0)
-    i1 = min(int(round((t_b - ts.t0) * ts.fs)), ts.n)
-    part = ts.samples[i0:i1]
-    return float(np.dot(part, part) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +261,10 @@ def save_template(tpl: Template, basename: str | os.PathLike) -> tuple[str, str]
 
 def load_template(basename: str | os.PathLike) -> Template:
     """Read a template saved by :func:`save_template`, re-extracting phase."""
-    info = _read_json(f"{basename}.json")
-    base = load_strain(f"{basename}.gwx")
-    return extract_phase_amplitude(base, carrier_f0=float(info.get("f0_hz", 0.0)))
+    meta = f"{basename}.json"
+    info = _read_json(meta)
+    try:
+        f0 = float(info.get("f0_hz", 0.0))
+    except (TypeError, ValueError):
+        raise ParseError(f"{meta}: f0_hz must be a number, got {info['f0_hz']!r}") from None
+    return extract_phase_amplitude(load_strain(f"{basename}.gwx"), carrier_f0=f0)

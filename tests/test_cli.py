@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,15 +110,6 @@ class TestBasicCommands:
         header = (tmp_path / "running.csv").read_text().splitlines()[0]
         assert header == "t_start_s,peak_abs_ccf,r3"
 
-    def test_readme_ccf_chain(self, tmp_path, capsys):
-        out = str(tmp_path / "run")
-        assert run("noise", "--duration", "1", "--seed", "1", "--name", "a.gwx",
-                   "--out", out) == 0
-        assert run("noise", "--duration", "1", "--seed", "2", "--name", "b.gwx",
-                   "--out", out) == 0
-        assert run("ccf", "--a", f"{out}/a.gwx", "--b", f"{out}/b.gwx",
-                   "--max-lag", "0.5", "--out", out) == 0
-
     def test_far(self, capsys):
         assert run("far", "--nb", "0", "--t", "1", "--tb", "1") == 0
         value = float(capsys.readouterr().out.strip())
@@ -127,11 +122,6 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "mf-sine-misfire" in out
         assert out.count(":") >= 10
-
-    def test_list_scenarios_flag(self, capsys):
-        assert run("--list-scenarios") == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 10
 
     def test_run_writes_reports(self, tmp_path, capsys):
         code = run("scenario", "run", "h1l1-ccf", "--trials", "3", "--seed", "21",
@@ -209,3 +199,86 @@ class TestMalformedJson:
         assert run("bogus", "--template", str(tmp_path / "gw150914"),
                    "--out", str(tmp_path)) == 2
         assert "gw150914.json" in capsys.readouterr().err
+
+
+class TestWrongShapeJson:
+    """JSON that parses but holds the wrong shape exits 2, not with a traceback."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"options": []}', "'options' must be a JSON object, got list"),
+        ('{"inputs": ["a"]}', "'inputs' must be a JSON object, got list"),
+    ], ids=["options", "inputs"])
+    def test_scenario_config(self, tmp_path, capsys, text, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run("scenario", "run", "h1l1-ccf", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and key in err
+
+    def test_bogus_template_f0(self, tmp_path, capsys):
+        assert run("template", "--kind", "gw150914", "--fs", "1024",
+                   "--out", str(tmp_path)) == 0
+        (tmp_path / "gw150914.json").write_text('{"f0_hz": "x"}')
+        assert run("bogus", "--template", str(tmp_path / "gw150914"),
+                   "--out", str(tmp_path)) == 2
+        assert "gw150914.json: f0_hz must be a number" in capsys.readouterr().err
+
+    def test_noise_psd_model_floor(self, tmp_path, capsys):
+        config = tmp_path / "model.json"
+        config.write_text('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], '
+                          '"f_floor_hz": "x"}')
+        assert run("noise", "--duration", "1", "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+        assert "bad PSD model config" in capsys.readouterr().err
+
+
+def readme_commands() -> list[list[str]]:
+    """Each ``gwxlab`` line of README.md's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gwxlab"]:
+                commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def _readme_param(index: int, argv: list[str]):
+    marks = ()
+    if argv[0] == "mf" and "cyclic_prefix" in argv and "--no-reweight" not in argv:
+        marks = pytest.mark.xfail(
+            strict=True,
+            reason="exits 3: on the template's own frequency grid the template power "
+                   "is too concentrated for 16 chi-squared bands (ROADMAP item 2)")
+    return pytest.param(index, marks=marks, id=f"{index}-{argv[0]}")
+
+
+class TestReadme:
+    @pytest.fixture(scope="class")
+    def exit_codes(self, tmp_path_factory):
+        """Run README's commands in order in one fresh directory."""
+        cwd = os.getcwd()
+        os.chdir(tmp_path_factory.mktemp("readme"))
+        try:
+            codes = []
+            for argv in README_COMMANDS:
+                try:
+                    codes.append(main(argv))
+                except SystemExit as exc:  # argparse rejected the line
+                    codes.append(exc.code)
+            return codes
+        finally:
+            os.chdir(cwd)
+
+    def test_block_found(self):
+        assert len(README_COMMANDS) >= 10
+
+    @pytest.mark.parametrize("index", [_readme_param(i, argv)
+                                       for i, argv in enumerate(README_COMMANDS)])
+    def test_command_exits_0(self, exit_codes, index):
+        assert exit_codes[index] == 0, "gwxlab " + " ".join(README_COMMANDS[index])

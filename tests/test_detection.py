@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gwxlab import (
     DegeneracyError,
@@ -29,6 +32,31 @@ E_INV = 1.0 / np.e
 
 def flat_psd(level=1.0, fs=FS):
     return PowerSpectrum(df=1.0, values=np.full(int(fs / 2) + 1, level))
+
+
+# property-test inputs: nonzero amplitudes over 24 decades, either sign
+amplitudes = st.builds(lambda e, sign: sign * 10.0 ** e,
+                       st.integers(-12, 12), st.sampled_from([-1.0, 1.0]))
+unit_samples = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+def windows(n):
+    return arrays(np.float64, n, elements=unit_samples).filter(
+        lambda x: np.max(np.abs(x)) > 1e-3)
+
+
+def _mf_case(seed, nt, extra, fs=1024.0):
+    """Random strain, template and PSD; the strain is at least two templates long."""
+    rng = rng_for(seed)
+    strain = TimeSeries(fs, 0.0, rng.standard_normal(2 * nt + extra))
+    template = TimeSeries(fs, 0.0, rng.standard_normal(nt))
+    psd = PowerSpectrum(df=fs / 64, values=np.exp(rng.standard_normal(33)))
+    return strain, template, psd
+
+
+mf_cases = st.builds(_mf_case, st.integers(0, 2**32 - 1), st.integers(8, 64),
+                     st.integers(0, 256))
+mf_modes = st.sampled_from(["circular", "cyclic_prefix"])
 
 
 def whitened_template_kernel(template, psd):
@@ -167,14 +195,38 @@ class TestMatchedFilter:
             peaks.append(int(round(snr.peak.time * FS)))
         assert peaks[1] - peaks[0] == 357
 
-    def test_template_scale_invariance(self):
-        tpl = stock_template("gw150914", FS)
-        psd = flat_psd()
-        noise = TimeSeries(FS, 0.0, rng_for(6).standard_normal(int(1 * FS)))
-        cfg = MfConfig(block_len=1.0, mode="circular", reweight_bins=None)
-        a = matched_filter(noise, tpl.base, psd, cfg)
-        b = matched_filter(noise, tpl.base.with_samples(250.0 * tpl.base.samples), psd, cfg)
-        np.testing.assert_allclose(a.rho, b.rho, rtol=1e-9)
+    @settings(max_examples=50, deadline=None)
+    @given(case=mf_cases, c=amplitudes, mode=mf_modes)
+    def test_template_scale_invariance(self, case, c, mode):
+        strain, template, psd = case
+        cfg = MfConfig(block_len=None, mode=mode, reweight_bins=None)
+        a = matched_filter(strain, template, psd, cfg)
+        b = matched_filter(strain, template.with_samples(c * template.samples), psd, cfg)
+        np.testing.assert_allclose(b.rho, a.rho, rtol=1e-9, atol=1e-12 * a.rho.max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=mf_cases, c=amplitudes, mode=mf_modes)
+    def test_strain_scale_scales_rho(self, case, c, mode):
+        # rho(c * s) = |c| * rho(s)
+        strain, template, psd = case
+        cfg = MfConfig(block_len=None, mode=mode, reweight_bins=None)
+        a = matched_filter(strain, template, psd, cfg)
+        b = matched_filter(strain.with_samples(c * strain.samples), template, psd, cfg)
+        np.testing.assert_allclose(b.rho, abs(c) * a.rho, rtol=1e-9,
+                                   atol=1e-12 * abs(c) * a.rho.max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=mf_cases, shift=st.integers(0, 2**16))
+    def test_circular_roll_rolls_rho(self, case, shift):
+        # a circular block has no edges: rolling the strain by m rolls rho by m
+        strain, template, psd = case
+        m = shift % strain.n
+        cfg = MfConfig(block_len=None, mode="circular", reweight_bins=None)
+        a = matched_filter(strain, template, psd, cfg)
+        b = matched_filter(strain.with_samples(np.roll(strain.samples, m)), template, psd, cfg)
+        assert b.rho.size == strain.n
+        np.testing.assert_allclose(b.rho, np.roll(a.rho, m), rtol=1e-9,
+                                   atol=1e-12 * a.rho.max())
 
     def test_oracle_equivalence_many_triples(self):
         # 20 seeded (strain, template, psd) triples at machine-level agreement
@@ -386,7 +438,16 @@ class TestDecorrelationTime:
 
 
 class TestNormalizedCcf:
-    def test_self_correlation_unity(self):
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.integers(16, 128).flatmap(windows), amp=amplitudes)
+    def test_self_correlation_unity(self, x, amp):
+        a = TimeSeries(FS, 0.0, amp * x)
+        max_lag = (x.size - 1) / FS
+        ccf = normalized_ccf(a, a, max_lag=max_lag, tau0=max_lag / 4)
+        assert ccf.lags[x.size - 1] == 0.0
+        assert abs(ccf.values[x.size - 1] - 1.0) <= 1e-12
+
+    def test_stock_self_correlation_peaky(self):
         for name in ("gw150914", "gw151226", "gw170104"):
             tpl = stock_template(name, FS)
             max_lag = tpl.base.duration * 0.95
@@ -405,13 +466,15 @@ class TestNormalizedCcf:
             peaky += ccf.peaky
         assert peaky <= 5
 
-    def test_bounded_by_cauchy_schwarz(self):
-        for s in range(10):
-            rng = rng_for(derive_seed(20, s))
-            a = TimeSeries(FS, 0.0, rng.standard_normal(512))
-            b = TimeSeries(FS, 0.0, rng.standard_normal(512))
-            ccf = normalized_ccf(a, b, max_lag=0.12)
-            assert np.all(np.abs(ccf.values) <= 1.0 + 1e-9)
+    @settings(max_examples=50, deadline=None)
+    @given(pair=st.integers(16, 128).flatmap(lambda n: st.tuples(windows(n), windows(n))),
+           amp_a=amplitudes, amp_b=amplitudes)
+    def test_bounded_by_cauchy_schwarz(self, pair, amp_a, amp_b):
+        x, y = pair
+        max_lag = (x.size - 1) / FS
+        ccf = normalized_ccf(TimeSeries(FS, 0.0, amp_a * x), TimeSeries(FS, 0.0, amp_b * y),
+                             max_lag=max_lag, tau0=max_lag / 4)
+        assert np.all(np.abs(ccf.values) <= 1.0 + 1e-12)
 
     def test_symmetry(self):
         rng = rng_for(3)

@@ -164,7 +164,7 @@ def test_verdicts_recomputable_from_csv(tmp_path):
     for line in rows[1:]:
         cells = line.split(",")
         fired = cells[i_fired] == "true"
-        assert fired == (float(cells[i_rho]) > res.config.snr_threshold)
+        assert fired == (float(cells[i_rho]) > res.summary["thresholds"]["snr"])
 
 
 def test_ccf_verdicts_recomputable_from_csv(tmp_path):
@@ -177,7 +177,7 @@ def test_ccf_verdicts_recomputable_from_csv(tmp_path):
     for line in rows[1:]:
         cells = line.split(",")
         peaky = cells[i_peaky] == "true"
-        assert peaky == (float(cells[i_r3]) < res.config.r3_threshold)
+        assert peaky == (float(cells[i_r3]) < res.summary["thresholds"]["r3"])
 
 
 def test_emit_report_empty_rejected(tmp_path):
