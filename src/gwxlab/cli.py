@@ -192,8 +192,9 @@ def _cmd_running_ccf(args) -> int:
     long_ts = load_strain(args.strain)
     template = load_strain(args.template)
     exclusions = [_parse_pair(x, "start:end") for x in args.exclude]
+    tau0 = decorrelation_time(template)
     stats = running_window_ccf(long_ts, template, hop=args.hop,
-                               exclusions=exclusions)
+                               exclusions=exclusions, tau0=tau0)
     path = _out_path(args, "running.csv")
     _write_csv(path, ["t_start_s", "peak_abs_ccf", "r3"],
                [(s.t_start, s.peak_abs_ccf, s.r3) for s in stats])
@@ -202,7 +203,7 @@ def _cmd_running_ccf(args) -> int:
         "n_windows": len(stats),
         "max_peak_abs_ccf": max(peaks),
         "median_peak_abs_ccf": float(np.median(peaks)),
-        "tau0_template_s": decorrelation_time(template),
+        "tau0_template_s": tau0,
     }, _out_path(args, "running_summary.json"))
     return 0
 

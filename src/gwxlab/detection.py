@@ -36,12 +36,21 @@ The short-window path is a normalized time-domain cross-correlation:
 both windows are scaled to unit energy so self-correlation is exactly 1
 at zero lag, and peakiness is judged by the ratio R3 of the largest
 |CCF| beyond three decorrelation times to the global |CCF| maximum,
-against the threshold 1/e.
+against the threshold 1/e.  Its reference side is planned once per
+window length: the conjugated spectrum of the unit-energy reference at a
+fast length of at least 2n - 1 (so the circular correlation of the FFT
+never wraps), the lag grid and the |lag| > 3 tau0 mask.  A single CCF
+uses a one-shot plan; the running-window CCF keeps one plan for the
+whole scan, gathers its windows as strided views of the long series and
+correlates them 64 rows at a time, one batched real FFT pair per chunk,
+with the energies, |CCF| peaks and R3 computed as vectors.  Batching
+changes values by round-off only, about 1e-16 on values bounded by 1.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +59,7 @@ import scipy.signal
 from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
-from .series import PowerSpectrum, TimeSeries, slice_window
+from .series import PowerSpectrum, TimeSeries
 
 __all__ = [
     "MfConfig",
@@ -71,6 +80,10 @@ R3_THRESHOLD = 1.0 / math.e
 SNR_THRESHOLD = 5.0
 # decorrelation envelopes take their running maximum over a half period here
 MIN_FREQ_HZ = 30.0
+# windows per batched rfft/irfft pair of the running-window CCF: at the
+# stock template's 819 samples a chunk's spectrum and output take 0.9 MB
+# each and stay in a 2 MB L2 cache; 128 rows measured 1.5x slower
+_CCF_CHUNK_ROWS = 64
 
 
 class Peak(NamedTuple):
@@ -467,6 +480,82 @@ def decorrelation_time(template: TimeSeries) -> float:
     return _envelope_crossing(r, template.fs, "autocorrelation")
 
 
+def _lag_samples(fs: float, n: int, reference: TimeSeries, max_lag: float) -> int:
+    """Half-width in samples of the lag grid for an ``n``-sample window at
+    ``fs`` against ``reference``, once the pair and the range are checked."""
+    if abs(fs - reference.fs) > 1e-9 * fs:
+        raise ValidationError(f"sample-rate mismatch: {fs} vs {reference.fs} Hz")
+    if n != reference.n:
+        raise ValidationError(
+            f"windows must have equal duration: {n} vs {reference.n} samples"
+        )
+    lag_samples = int(round(max_lag * fs))
+    if lag_samples < 1:
+        raise ValidationError("max_lag shorter than one sample")
+    if lag_samples > n - 1:
+        raise ValidationError(
+            f"max_lag {max_lag} s exceeds the window duration {n / fs} s"
+        )
+    return lag_samples
+
+
+def _outer_mask(lags: np.ndarray, tau0: float) -> np.ndarray:
+    """The lags beyond three decorrelation times, which must exist."""
+    if not tau0 > 0:
+        raise ValidationError(f"tau0 must be positive, got {tau0}")
+    max_lag = float(lags[-1])
+    if 3.0 * tau0 >= max_lag:
+        raise ValidationError(
+            f"lag range {max_lag} s too short for R3 at tau0={tau0} s "
+            f"(needs 3*tau0 < max_lag)"
+        )
+    return np.abs(lags) > 3.0 * tau0
+
+
+def _peak_r3(values: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|CCF| peak and R3 of each CCF along the last axis."""
+    mag = np.abs(values)
+    peak = np.max(mag, axis=-1)
+    if np.any(peak <= 0.0):
+        raise DegeneracyError("flat zero CCF has no peak ratio")
+    return peak, np.max(mag[..., outer], axis=-1) / peak
+
+
+def _r3(lags: np.ndarray, values: np.ndarray, tau0: float) -> tuple[float, bool]:
+    r3 = float(_peak_r3(values, _outer_mask(lags, tau0))[1])
+    return r3, r3 < R3_THRESHOLD
+
+
+class _CcfPlan:
+    """Reference-side state of the normalized CCF for one window length.
+
+    The conjugated spectrum of the unit-energy reference at a fast length
+    of at least 2n - 1, so the circular correlation never wraps; the lag
+    grid; and the |lag| > 3 tau0 mask that R3 reads.  ``tau0`` defaults
+    to the decorrelation time of the reference.
+    """
+
+    def __init__(self, reference: TimeSeries, fs: float, lag_samples: int,
+                 tau0: float | None):
+        unit = _unit_energy(reference.samples, "second")
+        self.size = next_fast_len(2 * reference.n - 1, real=True)
+        self.ref_conj = np.conj(np.fft.rfft(unit, self.size))
+        self.lag_samples = lag_samples
+        self.lags = np.arange(-lag_samples, lag_samples + 1) / fs
+        if tau0 is None:
+            tau0 = decorrelation_time(reference)
+        self.outer = _outer_mask(self.lags, tau0)
+        self.tau0 = float(tau0)
+
+    def ccf(self, unit_rows: np.ndarray) -> np.ndarray:
+        """CCF over the lag grid of each unit-energy row (last axis)."""
+        spec = np.fft.rfft(unit_rows, self.size)
+        spec *= self.ref_conj
+        full = np.fft.irfft(spec, self.size)
+        m = self.lag_samples
+        return np.concatenate([full[..., self.size - m:], full[..., :m + 1]], axis=-1)
+
+
 def normalized_ccf(
     a: TimeSeries,
     b: TimeSeries,
@@ -484,49 +573,13 @@ def normalized_ccf(
     ``tau0`` defaults to the decorrelation time of ``b`` (the reference
     side); R3 and the peakiness verdict derive from it.
     """
-    if abs(a.fs - b.fs) > 1e-9 * a.fs:
-        raise ValidationError(f"sample-rate mismatch: {a.fs} vs {b.fs} Hz")
-    if a.n != b.n:
-        raise ValidationError(
-            f"windows must have equal duration: {a.n} vs {b.n} samples"
-        )
-    n = a.n
-    lag_samples = int(round(max_lag * a.fs))
-    if lag_samples < 1:
-        raise ValidationError("max_lag shorter than one sample")
-    if lag_samples > n - 1:
-        raise ValidationError(
-            f"max_lag {max_lag} s exceeds the window duration {n / a.fs} s"
-        )
+    lag_samples = _lag_samples(a.fs, a.n, b, max_lag)
     na = _unit_energy(a.samples, "first")
-    nb = _unit_energy(b.samples, "second")
-    full = scipy.signal.correlate(na, nb, mode="full", method="fft")
-    center = n - 1
-    values = full[center - lag_samples:center + lag_samples + 1]
-    lags = np.arange(-lag_samples, lag_samples + 1) / a.fs
-    if tau0 is None:
-        tau0 = decorrelation_time(b)
-    r3, peaky = _r3(lags, values, tau0)
-    return CcfResult(lags=lags, values=values, tau0=float(tau0), r3=r3,
-                     peaky=peaky, window_T=n / a.fs)
-
-
-def _r3(lags: np.ndarray, values: np.ndarray, tau0: float) -> tuple[float, bool]:
-    if tau0 <= 0:
-        raise ValidationError(f"tau0 must be positive, got {tau0}")
-    max_lag = float(lags[-1])
-    if 3.0 * tau0 >= max_lag:
-        raise ValidationError(
-            f"lag range {max_lag} s too short for R3 at tau0={tau0} s "
-            f"(needs 3*tau0 < max_lag)"
-        )
-    mag = np.abs(values)
-    peak = float(np.max(mag))
-    if peak <= 0.0:
-        raise DegeneracyError("flat zero CCF has no peak ratio")
-    outer = np.abs(lags) > 3.0 * tau0
-    r3 = float(np.max(mag[outer]) / peak)
-    return r3, bool(r3 < R3_THRESHOLD)
+    plan = _CcfPlan(b, a.fs, lag_samples, tau0)
+    values = plan.ccf(na)
+    r3 = float(_peak_r3(values, plan.outer)[1])
+    return CcfResult(lags=plan.lags, values=values, tau0=plan.tau0, r3=r3,
+                     peaky=r3 < R3_THRESHOLD, window_T=a.n / a.fs)
 
 
 def ccf_decorrelation_time(ccf: CcfResult) -> float:
@@ -549,6 +602,10 @@ def ccf_decorrelation_time(ccf: CcfResult) -> float:
     return _envelope_crossing(folded / peak, fs, "CCF")
 
 
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def running_window_ccf(
     long_ts: TimeSeries,
     template: TimeSeries,
@@ -559,32 +616,65 @@ def running_window_ccf(
     """Slide template-duration windows over a long series and summarize each.
 
     Each window is correlated with the template over every lag it holds.
-    Windows intersecting an exclusion range ``(t_a, t_b)`` are skipped,
-    as are zero-energy windows.  Results are ordered by window start no
-    matter how they were evaluated.
+    Windows start at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are
+    snapped to the sample grid; the scan stops at the first one that runs
+    past the end.  Windows intersecting an exclusion range ``(t_a, t_b)``
+    are skipped, as are zero-energy windows.  The kept windows are
+    correlated ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`;
+    results are ordered by window start.
     """
-    if hop <= 0:
-        raise ValidationError(f"hop must be positive, got {hop}")
+    if not (_finite(hop) and hop > 0):
+        raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
+    spans = []
+    for pair in exclusions:
+        try:
+            t_a, t_b = pair
+        except (TypeError, ValueError):
+            t_a = t_b = None
+        if not (_finite(t_a) and _finite(t_b)):
+            raise ValidationError(
+                f"an exclusion must be a (start, end) pair of finite numbers, got {pair!r}"
+            )
+        spans.append((t_a, t_b))
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")
     max_lag = (template.n - 1) / template.fs
     if tau0 is None:
         tau0 = decorrelation_time(template)
+    fs = long_ts.fs
     duration = template.duration
-    out: list[RunningWindowStat] = []
+    n_win = int(round(duration * fs))  # snapped as slice_window snaps
+    starts: list[float] = []
+    first: list[int] = []
     t = long_ts.t0
     end = long_ts.t0 + long_ts.duration
-    while t + duration <= end + 0.5 / long_ts.fs:
-        excluded = any(t < t_b and t + duration > t_a for (t_a, t_b) in exclusions)
-        if not excluded:
-            try:
-                window = slice_window(long_ts, t, duration)
-            except ValidationError:
+    while t + duration <= end + 0.5 / fs:
+        if not any(t < t_b and t + duration > t_a for (t_a, t_b) in spans):
+            i0 = int(round((t - long_ts.t0) * fs))
+            if i0 + n_win > long_ts.n:
                 break  # the last hop's window runs past the end of the series
-            if float(np.dot(window.samples, window.samples)) > 0.0:
-                ccf = normalized_ccf(window, template, max_lag=max_lag, tau0=tau0)
-                out.append(RunningWindowStat(t_start=t, peak_abs_ccf=ccf.peak_abs, r3=ccf.r3))
+            starts.append(t)
+            first.append(i0)
         t += hop
+
+    if first:  # else the window may be longer than the series
+        view = np.lib.stride_tricks.sliding_window_view(long_ts.samples, n_win)
+    plan = None
+    out: list[RunningWindowStat] = []
+    for c in range(0, len(first), _CCF_CHUNK_ROWS):
+        rows = view[first[c:c + _CCF_CHUNK_ROWS]]
+        energy = np.einsum("ij,ij->i", rows, rows)
+        kept = np.flatnonzero(energy > 0.0)
+        if kept.size == 0:
+            continue
+        if plan is None:  # lazily, so a scan with no usable window says so first
+            plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, max_lag), tau0)
+            # rows zero-padded to the FFT length, so the FFT pads nothing
+            unit = np.zeros((_CCF_CHUNK_ROWS, plan.size))
+        np.divide(rows[kept], np.sqrt(energy[kept])[:, None], out=unit[:kept.size, :n_win])
+        peaks, r3s = _peak_r3(plan.ccf(unit[:kept.size]), plan.outer)
+        out.extend(map(RunningWindowStat, [starts[c + k] for k in kept],
+                       peaks.tolist(), r3s.tolist()))
     if not out:
         raise ValidationError("no usable windows: exclusions cover the whole span")
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
 from .series import PowerSpectrum, TimeSeries, _json_text, _read_json, _write_json
 
@@ -134,7 +134,9 @@ class PsdModel:
                 lines=tuple(PsdLine(**l) for l in data.get("lines", [])),
                 f_floor_hz=float(data.get("f_floor_hz", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValidationError(f"bad PSD model config: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad PSD model config: {exc}") from exc
 
     def save(self, path: str | os.PathLike) -> None:
@@ -142,7 +144,11 @@ class PsdModel:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PsdModel":
-        return cls.from_dict(_read_json(path))
+        data = _read_json(path)
+        try:
+            return cls.from_dict(data)
+        except ValidationError as exc:
+            raise ParseError(f"{os.fspath(path)}: {exc}") from None
 
 
 def default_detector_model() -> PsdModel:

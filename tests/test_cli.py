@@ -232,6 +232,29 @@ class TestWrongShapeJson:
                    "--out", str(tmp_path)) == 2
         assert "bad PSD model config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": "x"}',
+         "bad PSD model config: could not convert string to float: 'x'"),
+        ('{"lines": []}', "bad PSD model config: missing 'segments'"),
+    ], ids=["floor", "no-segments"])
+    def test_psd_model_errors_name_the_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "model.json"
+        config.write_text(text)
+        assert run("noise", "--duration", "1", "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+        assert f"{config}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        ({"hop": "x"}, "hop must be a positive finite number, got 'x'"),
+        ({"exclusions": [[1.0, "x"]]}, "an exclusion must be a (start, end) pair"),
+    ], ids=["hop", "exclusion"])
+    def test_running_baseline_option_values(self, tmp_path, capsys, options, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": {"duration": 8.0, **options}}))
+        assert run("scenario", "run", "running-baseline", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
 
 def readme_commands() -> list[list[str]]:
     """Each ``gwxlab`` line of README.md's ``sh`` blocks, continuations joined."""

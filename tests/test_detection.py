@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from gwxlab import (
     rng_for,
     running_window_ccf,
     sigma_norm,
+    slice_window,
     stock_template,
 )
 from gwxlab import detection
@@ -606,6 +610,13 @@ class TestRunningWindowCcf:
         with pytest.raises(ValidationError):
             running_window_ccf(long_ts, tpl.base, hop=0.5, exclusions=[(-1.0, 99.0)])
 
+    def test_window_longer_than_the_series_is_error(self):
+        # 40 samples at 10 Hz span 4 s, more than the 50 samples at 100 Hz
+        long_ts = TimeSeries(100.0, 0.0, rng_for(20).standard_normal(50))
+        tpl = TimeSeries(10.0, 0.0, rng_for(21).standard_normal(40))
+        with pytest.raises(ValidationError, match="no usable windows"):
+            running_window_ccf(long_ts, tpl, hop=0.1, tau0=0.5)
+
     def test_ordered_by_start(self):
         tpl = stock_template("gw170104", FS)
         long_ts = TimeSeries(FS, 0.0, rng_for(14).standard_normal(int(3 * FS)))
@@ -621,3 +632,114 @@ class TestRunningWindowCcf:
         tpl = TimeSeries(8.0, 0.0, rng_for(16).standard_normal(7))
         stats = running_window_ccf(long_ts, tpl, hop=0.5625, tau0=0.2)
         assert [s.t_start for s in stats] == [0.0, 0.5625, 1.125]
+
+    def test_flat_zero_ccf_of_a_window_with_energy(self):
+        # the energy of 1e200-scale samples overflows to inf, so the window
+        # passes the zero-energy skip but normalizes to zeros
+        long_ts = TimeSeries(8.0, 0.0, np.full(40, 1e200))
+        tpl = TimeSeries(8.0, 0.0, rng_for(17).standard_normal(8))
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegeneracyError, match="flat zero CCF"):
+                running_window_ccf(long_ts, tpl, hop=0.5, tau0=0.2)
+            with pytest.raises(DegeneracyError, match="flat zero CCF"):
+                normalized_ccf(slice_window(long_ts, 0.0, 1.0), tpl, max_lag=0.875, tau0=0.2)
+
+    @pytest.mark.parametrize("hop", ["x", float("nan"), float("inf"), 0.0])
+    def test_bad_hop(self, hop):
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        with pytest.raises(ValidationError, match=f"hop must be a positive finite number, "
+                                                  f"got {re.escape(repr(hop))}"):
+            running_window_ccf(long_ts, tpl, hop=hop, tau0=0.2)
+
+    @pytest.mark.parametrize("pair", [(1.0,), (1.0, "x"), 1.0, (1.0, float("inf"))])
+    def test_bad_exclusion(self, pair):
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"an exclusion must be a (start, end) pair of finite numbers, got {pair!r}")):
+            running_window_ccf(long_ts, tpl, hop=0.5, exclusions=[pair], tau0=0.2)
+
+
+def _scan_oracle(long_ts, template, hop, exclusions):
+    """(start, samples) of each window the ``t += hop`` scan keeps, one
+    ``slice_window`` per window."""
+    duration = template.duration
+    t, end = long_ts.t0, long_ts.t0 + long_ts.duration
+    kept = []
+    while t + duration <= end + 0.5 / long_ts.fs:
+        if not any(t < t_b and t + duration > t_a for t_a, t_b in exclusions):
+            try:
+                window = slice_window(long_ts, t, duration)
+            except ValidationError:
+                break
+            if np.dot(window.samples, window.samples) > 0.0:
+                kept.append((t, window.samples))
+        t += hop
+    return kept
+
+
+def _ccf_oracle(window, reference, tau0, fs):
+    """|CCF| peak and R3 from a direct ``np.correlate`` of the unit-energy pair."""
+    n = window.size
+    ccf = np.correlate(window / np.linalg.norm(window),
+                       reference / np.linalg.norm(reference), "full")
+    lags = np.arange(-(n - 1), n) / fs
+    mag = np.abs(ccf)
+    return mag.max(), mag[np.abs(lags) > 3.0 * tau0].max() / mag.max()
+
+
+def _running_case(seed, nt, extra, zero_stretches, t0):
+    """Noise with zero stretches, and a template of ``nt`` samples, at 64 Hz."""
+    rng = rng_for(seed)
+    x = rng.standard_normal(nt + extra) * 10.0 ** rng.uniform(-3, 3)
+    for start, length in zero_stretches:
+        x[int(start * x.size):int(start * x.size) + length] = 0.0
+    return (TimeSeries(64.0, t0, x),
+            TimeSeries(64.0, 0.0, rng.standard_normal(nt)))
+
+
+running_cases = st.builds(
+    _running_case, st.integers(0, 2**32 - 1), st.integers(8, 40), st.integers(1, 300),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 120)), max_size=3),
+    st.sampled_from([0.0, 0.37, -5.25]))
+
+
+class TestBatchedRunningCcf:
+    """The chunked engine against a per-window loop that shares none of its code."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=running_cases, hop_frac=st.floats(0.004, 1.5),
+           tau0_frac=st.floats(0.01, 0.3), chunk=st.integers(1, 7),
+           cuts=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(0.0, 0.5)), max_size=3))
+    def test_matches_per_window_oracle(self, case, hop_frac, tau0_frac, chunk, cuts):
+        long_ts, tpl = case
+        hop = hop_frac * tpl.duration
+        tau0 = tau0_frac * (tpl.n - 1) / tpl.fs
+        span = long_ts.duration
+        exclusions = [(long_ts.t0 + a * span, long_ts.t0 + (a + w) * span) for a, w in cuts]
+        kept = _scan_oracle(long_ts, tpl, hop, exclusions)
+        with mock.patch.object(detection, "_CCF_CHUNK_ROWS", chunk):
+            if not kept:
+                with pytest.raises(ValidationError, match="no usable windows"):
+                    running_window_ccf(long_ts, tpl, hop=hop, exclusions=exclusions, tau0=tau0)
+                return
+            stats = running_window_ccf(long_ts, tpl, hop=hop, exclusions=exclusions, tau0=tau0)
+        assert [s.t_start for s in stats] == [t for t, _ in kept]
+        expected = np.array([_ccf_oracle(w, tpl.samples, tau0, tpl.fs) for _, w in kept])
+        got = np.array([(s.peak_abs_ccf, s.r3) for s in stats])
+        # |CCF| <= 1 sets the scale: an R3 that is exactly 0 (all outer lags
+        # zero) comes out of any FFT as round-off of order 1e-16
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        assert np.all(got[:, 0] <= 1.0 + 1e-12)
+        assert np.all((got[:, 1] >= 0.0) & (got[:, 1] <= 1.0))
+
+    def test_several_chunks_with_a_partial_last_one(self):
+        long_ts, tpl = _running_case(21, 16, 200, [(0.5, 30)], 0.0)
+        kept = _scan_oracle(long_ts, tpl, 0.05, [])
+        with mock.patch.object(detection, "_CCF_CHUNK_ROWS", 4):
+            stats = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
+        assert len(kept) % 4 != 0 and len(kept) > 8
+        assert [s.t_start for s in stats] == [t for t, _ in kept]
+        whole = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
+        np.testing.assert_allclose(np.array(stats), np.array(whole), rtol=1e-12, atol=0.0)
