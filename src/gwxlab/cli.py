@@ -159,7 +159,7 @@ def _cmd_mf(args) -> int:
     snr = matched_filter(strain, template, psd, cfg)
     path = _out_path(args, "snr.csv")
     _write_csv(path, ["t_s", "rho", "rho_reweighted"],
-               zip(snr.times(), snr.rho, snr.rho_reweighted))
+               [snr.times(), snr.rho, snr.rho_reweighted])
     _emit_json({
         "peak_time_s": snr.peak.time,
         "peak_rho_reweighted": snr.peak.value,
@@ -176,7 +176,7 @@ def _cmd_ccf(args) -> int:
     b = load_strain(args.b)
     ccf = normalized_ccf(a, b, max_lag=args.max_lag, tau0=args.tau0)
     path = _out_path(args, "ccf.csv")
-    _write_csv(path, ["lag_s", "ccf"], zip(ccf.lags, ccf.values))
+    _write_csv(path, ["lag_s", "ccf"], [ccf.lags, ccf.values])
     _emit_json({
         "peak_lag_s": ccf.peak_lag,
         "peak_ccf": ccf.peak_value,
@@ -197,7 +197,7 @@ def _cmd_running_ccf(args) -> int:
                                exclusions=exclusions, tau0=tau0)
     path = _out_path(args, "running.csv")
     _write_csv(path, ["t_start_s", "peak_abs_ccf", "r3"],
-               [(s.t_start, s.peak_abs_ccf, s.r3) for s in stats])
+               [np.array(column) for column in zip(*stats)])
     peaks = [s.peak_abs_ccf for s in stats]
     _emit_json({
         "n_windows": len(stats),

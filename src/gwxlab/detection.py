@@ -28,8 +28,11 @@ instead of the N + 2 that one inverse transform per band needs.  The
 subtraction makes the round-off absolute, of order eps * rho^2; it can
 only show where the reduced chi-squared is far below 1, which leaves the
 reweighted SNR unchanged.  ``cyclic_prefix`` keeps one filter per band,
-since its bands sit on the template grid.  The template-side work is
-planned once and reused while template, PSD, configuration and block
+since its bands sit on the template grid: the plan holds the conjugate
+spectrum of the whitened kernel and of each band's kernel at a fast
+length of at least n + nt, so a filtered block costs one forward
+transform plus one inverse transform per kernel.  The template-side work
+is planned once and reused while template, PSD, configuration and block
 shape stay the same.
 
 The short-window path is a normalized time-domain cross-correlation:
@@ -244,8 +247,11 @@ class _MfPlan:
 
     Template spectrum, PSD on the filter grid, band mask, <h|h> weights,
     the in-band conjugate template and PSD and, when reweighting, the
-    chi-squared band bounds.  Depends only on (template, PSD, cfg, block
-    length, rate).
+    chi-squared band bounds.  In ``cyclic_prefix`` mode it also holds the
+    conjugate spectrum of the whitened-template kernel, and of one kernel
+    per chi-squared band, at the fast length ``fft_len >= n + nt``; the
+    prefixed correlation never wraps, so the zero padding is exact.
+    Depends only on (template, PSD, cfg, block length, rate).
     """
 
     def __init__(self, template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
@@ -281,6 +287,8 @@ class _MfPlan:
             self.out_len = n
         else:
             self.out_len = n - nt + 1
+            self.fft_len = next_fast_len(n + nt)
+            self.kernel_spec = self._kernel_spectrum(self.mask)
 
         if cfg.reweight_bins is not None:
             n_bins = cfg.reweight_bins
@@ -291,14 +299,30 @@ class _MfPlan:
                 raise DegeneracyError(
                     f"template power too concentrated to build {n_bins} chi-squared bands"
                 )
-            # (first in-mask bin, width to the last one, autocorrelation FFT
-            # length) per band; q is zero outside the mask
-            self.band_spans = []
-            for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-                inside = self.sel[(self.sel >= lo) & (self.sel < hi)]
-                if inside.size:
-                    w = int(inside[-1] - inside[0]) + 1
-                    self.band_spans.append((int(inside[0]), w, next_fast_len(2 * w - 1)))
+            bands = list(zip(self.bounds[:-1], self.bounds[1:]))
+            if cfg.mode == "cyclic_prefix":
+                k = np.arange(self.weights.size)
+                self.band_kernel_specs = [self._kernel_spectrum(self.mask & (k >= lo) & (k < hi))
+                                          for lo, hi in bands]
+            else:
+                # (first in-mask bin, width to the last one, autocorrelation
+                # FFT length) per band; q is zero outside the mask
+                self.band_spans = []
+                for lo, hi in bands:
+                    inside = self.sel[(self.sel >= lo) & (self.sel < hi)]
+                    if inside.size:
+                        w = int(inside[-1] - inside[0]) + 1
+                        self.band_spans.append((int(inside[0]), w, next_fast_len(2 * w - 1)))
+
+    def _kernel_spectrum(self, mask: np.ndarray) -> np.ndarray:
+        """Conjugate length-``fft_len`` spectrum of the whitened-template
+        kernel restricted to ``mask``; the kernel's support is exactly the
+        template length."""
+        g_freq = np.zeros(self.nt, dtype=np.complex128)
+        sel = np.where(mask)[0]
+        g_freq[sel] = self.htilde[sel] / self.psd_grid[sel]
+        kernel = np.fft.ifft(g_freq) * (self.nt * self.grid_df)
+        return np.conj(np.fft.fft(kernel, self.fft_len))
 
     def snr_complex(self, strain: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Complex matched-filter series over the output lags, plus the
@@ -310,19 +334,12 @@ class _MfPlan:
             q[self.sel] = 4.0 * strain_fft[self.sel] * self.hconj_sel / self.psd_sel
             return np.fft.ifft(q) * (n * self.grid_df), q
         prefixed = np.concatenate([strain.samples[n - nt:], strain.samples])
-        block_fft = np.fft.fft(prefixed)
-        return self._prefixed_snr(block_fft, self.mask), block_fft
+        block_fft = np.fft.fft(prefixed, self.fft_len)
+        return self._prefixed_snr(block_fft, self.kernel_spec), block_fft
 
-    def _prefixed_snr(self, block_fft: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        # cyclic prefix: correlate against the whitened-template kernel,
-        # whose support is exactly the template length
-        g_freq = np.zeros(self.nt, dtype=np.complex128)
-        sel = np.where(mask)[0]
-        g_freq[sel] = self.htilde[sel] / self.psd_grid[sel]
-        kernel = np.fft.ifft(g_freq) * (self.nt * self.grid_df)
-        padded = np.zeros(self.n + self.nt, dtype=np.complex128)
-        padded[:self.nt] = kernel
-        corr = np.fft.ifft(block_fft * np.conj(np.fft.fft(padded)))
+    def _prefixed_snr(self, block_fft: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
+        # cyclic prefix: correlate against a planned kernel spectrum
+        corr = np.fft.ifft(block_fft * kernel_spec)
         return 4.0 * self.dt * corr[self.nt:self.nt + self.out_len]
 
     def chi2_reduced(self, z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -334,10 +351,8 @@ class _MfPlan:
         else:
             chi2 = np.zeros(self.out_len)
             expected = z / n_bins
-            for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-                bin_mask = np.zeros(self.weights.size, dtype=bool)
-                bin_mask[lo:hi] = True
-                z_i = self._prefixed_snr(spectrum, self.mask & bin_mask)
+            for kernel_spec in self.band_kernel_specs:
+                z_i = self._prefixed_snr(spectrum, kernel_spec)
                 chi2 += np.abs(z_i - expected) ** 2
         chi2 *= n_bins / self.hh
         return chi2 / (2 * n_bins - 2)
@@ -603,7 +618,8 @@ def ccf_decorrelation_time(ccf: CcfResult) -> float:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """True for a finite real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def running_window_ccf(

@@ -24,6 +24,7 @@ from .detection import (
     MfConfig,
     R3_THRESHOLD,
     SNR_THRESHOLD,
+    _finite,
     ccf_decorrelation_time,
     decorrelation_time,
     matched_filter,
@@ -191,6 +192,13 @@ def _whiten_and_band(ts: TimeSeries, psd: PowerSpectrum, band=(43.0, 300.0)) -> 
     return butterworth_bandpass(whiten_full(ts, psd), band[0], band[1])
 
 
+def _number_option(cfg: ScenarioConfig, key: str, default: float):
+    value = cfg.opt(key, default)
+    if not _finite(value):
+        raise ValidationError(f"option {key!r} must be a finite number, got {value!r}")
+    return value
+
+
 def _template_for(cfg: ScenarioConfig, default_kind: str):
     basename = cfg.inputs.get("template")
     if basename:
@@ -198,15 +206,27 @@ def _template_for(cfg: ScenarioConfig, default_kind: str):
     return stock_template(cfg.opt("template_kind", default_kind), cfg.fs), False
 
 
-def _snr_figure(snr) -> tuple[list[str], list[tuple]]:
-    header = ["t_s", "rho", "rho_reweighted"]
-    times = snr.times()
-    rows = list(zip(times.tolist(), snr.rho.tolist(), snr.rho_reweighted.tolist()))
-    return header, rows
+class _Columns:
+    """A figure table kept as its columns until :func:`emit_report` formats
+    them; it still iterates as row tuples."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return min(map(len, self.columns))
+
+    def __iter__(self):
+        return zip(*(np.asarray(col).tolist() for col in self.columns))
 
 
-def _ccf_figure(ccf) -> tuple[list[str], list[tuple]]:
-    return ["lag_s", "ccf"], list(zip(ccf.lags.tolist(), ccf.values.tolist()))
+def _snr_figure(snr) -> tuple[list[str], _Columns]:
+    return ["t_s", "rho", "rho_reweighted"], _Columns(snr.times(), snr.rho,
+                                                       snr.rho_reweighted)
+
+
+def _ccf_figure(ccf) -> tuple[list[str], _Columns]:
+    return ["lag_s", "ccf"], _Columns(ccf.lags, ccf.values)
 
 
 def _misfire_scenario(cfg: ScenarioConfig, burst_kind: str) -> ScenarioResult:
@@ -305,8 +325,7 @@ def _scenario_mf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
             t = tpl.base.times()
             figures["templates.csv"] = (
                 ["t_s", "ideal", "bogus", "error"],
-                list(zip(t.tolist(), tpl.base.samples.tolist(),
-                         bogus.samples.tolist(), err.samples.tolist())),
+                _Columns(t, tpl.base.samples, bogus.samples, err.samples),
             )
             figures["snr.csv"] = _snr_figure(snr)
         return TrialReport(trial_index=k, seed=seed, peak_rho=float(peak),
@@ -537,8 +556,7 @@ def _scenario_whiten_distortion(cfg: ScenarioConfig) -> ScenarioResult:
             t = reference.times()
             figures["waveforms.csv"] = (
                 ["t_s", "reference", "full_band", "localized"],
-                list(zip(t.tolist(), reference.samples.tolist(),
-                         out_full.samples.tolist(), out_loc.samples.tolist())),
+                _Columns(t, reference.samples, out_full.samples, out_loc.samples),
             )
         return TrialReport(trial_index=k, seed=seed,
                            extras={"err_full": err_full, "err_localized": err_loc,
@@ -560,10 +578,17 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
     detector noise, excluding the block edges."""
     tpl, _ = _template_for(cfg, "gw150914")
     model = _psd_model(cfg)
-    duration = cfg.opt("duration", 64.0)
+    duration = _number_option(cfg, "duration", 64.0)
     hop = cfg.opt("hop", 1.0)
     band = cfg.opt("band", (43.0, 300.0))
-    edge = cfg.opt("edge_exclusion", 2.0)
+    if not (isinstance(band, (list, tuple)) and len(band) == 2 and all(map(_finite, band))):
+        raise ValidationError(f"option 'band' must be a pair [f_lo, f_hi] of numbers, "
+                              f"got {band!r}")
+    edge = _number_option(cfg, "edge_exclusion", 2.0)
+    user_exclusions = cfg.opt("exclusions", [])
+    if not isinstance(user_exclusions, (list, tuple)):
+        raise ValidationError(f"option 'exclusions' must be a list of [start, end] pairs, "
+                              f"got {user_exclusions!r}")
     psd = model.to_power_spectrum(0.125, 16385)
     tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
     tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band)
@@ -574,8 +599,7 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
     def trial(k: int, seed: int) -> TrialReport:
         processed = _whiten_and_band(colored_noise(model, duration, cfg.fs, seed=seed),
                                      psd, band)
-        exclusions = list(cfg.opt("exclusions", []))
-        exclusions += [(0.0, edge), (duration - edge, duration)]
+        exclusions = list(user_exclusions) + [(0.0, edge), (duration - edge, duration)]
         stats_list = running_window_ccf(processed, tpl_proc, hop=hop,
                                         exclusions=exclusions, tau0=tau0)
         peaks = np.array([s.peak_abs_ccf for s in stats_list])
@@ -583,7 +607,7 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
         if k == 0:
             figures["running.csv"] = (
                 ["t_start_s", "peak_abs_ccf", "r3"],
-                [(s.t_start, s.peak_abs_ccf, s.r3) for s in stats_list],
+                _Columns(np.array([s.t_start for s in stats_list]), peaks, r3s),
             )
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=float(np.max(peaks)),
@@ -705,13 +729,13 @@ def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]
 
     extra_keys = sorted({k for r in result.trials for k in r.extras})
     path = os.path.join(out_dir, "trials.csv")
-    _write_csv(path, _TRIAL_COLUMNS + extra_keys,
-               ([r.trial_index, r.seed, r.peak_rho, r.peak_abs_ccf, r.r3, r.fired, r.peaky]
-                + [r.extras.get(k) for k in extra_keys] for r in result.trials))
+    rows = [[r.trial_index, r.seed, r.peak_rho, r.peak_abs_ccf, r.r3, r.fired, r.peaky]
+            + [r.extras.get(k) for k in extra_keys] for r in result.trials]
+    _write_csv(path, _TRIAL_COLUMNS + extra_keys, list(zip(*rows)))
     written.append(path)
 
-    for name, (header, rows) in sorted(result.figures.items()):
+    for name, (header, table) in sorted(result.figures.items()):
         path = os.path.join(out_dir, name)
-        _write_csv(path, header, rows)
+        _write_csv(path, header, table.columns)
         written.append(path)
     return written

@@ -4,6 +4,19 @@ Every file the lab reads or writes goes through this module: gwx-text
 strain, CSV tables (PSDs, reports, CLI outputs) and JSON (summaries,
 PSD models, template metadata, scenario configs).
 
+The text writers are column-wise.  A table is a list of equal-length
+columns; a float64 array column is formatted in one pass of
+``float.__repr__`` over its ``tolist()``, and any other column (ints,
+booleans, ``None`` for a missing statistic) cell by cell.  Rows are
+joined and written ``_WRITE_BLOCK_ROWS`` at a time, never as one string
+for the whole file: a 32 s block has 131,072 samples, and formatting
+each file at once raised the peak RSS of the benchmark's file-based
+command chain (``perfbench`` workload ``cli-pipeline``) from 138 to
+160 MiB, over its 10% bound.
+gwx-text samples are written the same way and parsed in one
+``np.fromiter`` pass, which falls back to a line-by-line loop only to
+name the line of a non-numeric sample.
+
 Everything downstream (conditioning, templates, detection, simulation)
 moves data around as :class:`TimeSeries` and :class:`PowerSpectrum`
 values.  All operations are pure: values are immutable after
@@ -43,6 +56,8 @@ GWX_MAGIC = "# gwx-strain v1"
 # PSD bins are floored at this fraction of a median PSD level before
 # anything divides by them
 PSD_FLOOR_RATIO = 1e-12
+# rows formatted and written per block by the text writers
+_WRITE_BLOCK_ROWS = 8192
 
 
 def _readonly_f64(values, name: str) -> np.ndarray:
@@ -194,23 +209,23 @@ def load_strain(path: str | os.PathLike) -> TimeSeries:
         raise ParseError(
             f"sample count mismatch: header says n={n}, file holds {len(body)} samples"
         )
-    samples = np.empty(n, dtype=np.float64)
-    for k, text in enumerate(body):
-        try:
-            samples[k] = float(text)
-        except ValueError as exc:
-            raise ParseError(f"line {k + 5}: non-numeric sample {text!r}") from exc
+    try:
+        samples = np.fromiter(map(float, body), np.float64, n)
+    except ValueError:
+        for k, text in enumerate(body):
+            try:
+                float(text)
+            except ValueError as exc:
+                raise ParseError(f"line {k + 5}: non-numeric sample {text!r}") from exc
+        raise
     return TimeSeries(fs=fs, t0=t0, samples=samples)
 
 
 def save_strain(ts: TimeSeries, path: str | os.PathLike) -> None:
     """Write a gwx-text strain file; it round-trips bit-exactly through repr."""
-    buf = io.StringIO()
-    buf.write(f"{GWX_MAGIC}\n# fs_hz={ts.fs!r}\n# t0_s={ts.t0!r}\n# n={ts.n}\n")
-    for v in ts.samples:
-        buf.write(f"{float(v)!r}\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(f"{GWX_MAGIC}\n# fs_hz={ts.fs!r}\n# t0_s={ts.t0!r}\n# n={ts.n}\n")
+        _write_rows(fh, [ts.samples])
 
 
 def load_psd_csv(path) -> PowerSpectrum:
@@ -242,7 +257,7 @@ def load_psd_csv(path) -> PowerSpectrum:
 
 
 def save_psd_csv(psd: PowerSpectrum, path) -> None:
-    _write_csv(path, ["f_hz", "psd"], zip(psd.frequencies(), psd.values))
+    _write_csv(path, ["f_hz", "psd"], [psd.frequencies(), psd.values])
 
 
 def _format_cell(value) -> str:
@@ -257,15 +272,38 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write one CSV table: PSD tables, report tables and CLI tables.
+def _format_column(column):
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return map(float.__repr__, column.tolist())
+    return map(_format_cell, column)
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length columns as comma-separated rows, block by block."""
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        # a column passed twice (``rho_reweighted`` is ``rho`` when nothing
+        # reweights) is formatted once
+        formatted = {}
+        for col in columns:
+            if id(col) not in formatted:
+                formatted[id(col)] = list(_format_column(col[start:stop]))
+        cells = [formatted[id(col)] for col in columns]
+        rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+        fh.write("\n".join(rows) + "\n")
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write one CSV table, given as a list of columns: PSD tables, report
+    tables and CLI tables.
 
     Nothing needs CSV quoting: headers are identifiers, and cells are
     numbers, booleans or empty.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+        _write_rows(fh, columns)
 
 
 def _non_finite_keys(obj, path: str = ""):

@@ -247,7 +247,11 @@ class TestWrongShapeJson:
     @pytest.mark.parametrize("options, message", [
         ({"hop": "x"}, "hop must be a positive finite number, got 'x'"),
         ({"exclusions": [[1.0, "x"]]}, "an exclusion must be a (start, end) pair"),
-    ], ids=["hop", "exclusion"])
+        ({"duration": "x"}, "option 'duration' must be a finite number, got 'x'"),
+        ({"exclusions": 5}, "option 'exclusions' must be a list of [start, end] pairs"),
+        ({"edge_exclusion": "x"}, "option 'edge_exclusion' must be a finite number"),
+        ({"band": "x"}, "option 'band' must be a pair [f_lo, f_hi] of numbers, got 'x'"),
+    ], ids=["hop", "exclusion", "duration", "exclusions", "edge_exclusion", "band"])
     def test_running_baseline_option_values(self, tmp_path, capsys, options, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": {"duration": 8.0, **options}}))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 
 from gwxlab import (
     DegeneracyError,
@@ -405,6 +406,59 @@ class TestPlanReuse:
             np.testing.assert_array_equal(got.chi2_reduced, want.chi2_reduced)
 
 
+def prefixed_chi2_oracle(strain, template, psd, n_bins):
+    """Cyclic-prefix z and chi-squared, rebuilding each kernel and its
+    length-(n + nt) transform on every call, one kernel per band."""
+    n, nt, fs = strain.n, template.n, strain.fs
+    htilde = np.fft.rfft(template.samples) / fs
+    df = fs / nt
+    grid = psd.floored(df, htilde.size)
+    mask = np.arange(htilde.size) > 0
+    weights = np.where(mask, 4.0 * np.abs(htilde) ** 2 / grid * df, 0.0)
+    hh = np.sum(weights)
+    cum = np.cumsum(weights) / hh
+    edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
+    bounds = np.concatenate([[0], edges + 1, [htilde.size]])
+    prefixed = np.concatenate([strain.samples[n - nt:], strain.samples])
+
+    def z_of(bins):
+        g_freq = np.zeros(nt, dtype=complex)
+        g_freq[bins] = htilde[bins] / grid[bins]
+        padded = np.zeros(n + nt, dtype=complex)
+        padded[:nt] = np.fft.ifft(g_freq) * fs
+        corr = np.fft.ifft(np.fft.fft(prefixed) * np.conj(np.fft.fft(padded)))
+        return 4.0 / fs * corr[nt:n + 1]
+
+    z = z_of(np.nonzero(mask)[0])
+    chi2 = np.zeros(z.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chi2 += np.abs(z_of(np.nonzero(mask[lo:hi])[0] + lo) - z / n_bins) ** 2
+    return z, chi2 * n_bins / hh / (2 * n_bins - 2)
+
+
+class TestPlannedCyclicPrefix:
+    """The planned cyclic-prefix kernels against per-call kernels."""
+
+    def test_matches_per_call_kernel(self):
+        tpl = stock_template("gw150914", FS).base
+        psd = flat_psd(2.0 / FS)
+        strain = TimeSeries(FS, 0.0, rng_for(93).standard_normal(int(2 * FS)))
+        strain = inject(strain, tpl.with_samples(50.0 * tpl.samples), 0.7)
+        cfg = MfConfig(block_len=None, mode="cyclic_prefix", reweight_bins=4)
+        detection._last_plan = None
+        plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
+        assert plan.fft_len == next_fast_len(strain.n + tpl.n)
+        assert plan.fft_len > strain.n + tpl.n  # the zero padding is exercised
+        z, spectrum = plan.snr_complex(strain)
+        chi2 = plan.chi2_reduced(z, spectrum)
+        z_ref, chi2_ref = prefixed_chi2_oracle(strain, tpl, psd, 4)
+        assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
+        assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
+        snr = matched_filter(strain, tpl, psd, cfg)
+        np.testing.assert_array_equal(snr.chi2_reduced, chi2)
+        assert abs(snr.peak.time - 0.7) <= 1.0 / FS
+
+
 class TestDecorrelationTime:
     def test_white_noise_one_sample(self):
         noise = TimeSeries(FS, 0.0, rng_for(1).standard_normal(4096))
@@ -644,7 +698,7 @@ class TestRunningWindowCcf:
             with pytest.raises(DegeneracyError, match="flat zero CCF"):
                 normalized_ccf(slice_window(long_ts, 0.0, 1.0), tpl, max_lag=0.875, tau0=0.2)
 
-    @pytest.mark.parametrize("hop", ["x", float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("hop", ["x", float("nan"), float("inf"), 0.0, True])
     def test_bad_hop(self, hop):
         long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
         tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gwxlab import (
     slice_window,
     welch_psd,
 )
+from gwxlab import series
 
 
 def make_noise(n, fs=4096.0, seed=0):
@@ -111,6 +113,80 @@ class TestGwxRoundTripProperty:
         assert np.float64(back.fs).tobytes() == np.float64(fs).tobytes()
         assert np.float64(back.t0).tobytes() == np.float64(t0).tobytes()
         assert back.samples.tobytes() == ts.samples.tobytes()  # sign of zero included
+
+
+def csv_oracle(header, rows) -> bytes:
+    """The row-by-row CSV writer the column-wise one replaced."""
+    return (",".join(header) + "\n"
+            + "".join(",".join(map(series._format_cell, row)) + "\n" for row in rows)
+            ).encode("ascii")
+
+
+def gwx_oracle(ts) -> bytes:
+    """The sample-by-sample gwx-text writer the block-wise one replaced."""
+    head = f"# gwx-strain v1\n# fs_hz={ts.fs!r}\n# t0_s={ts.t0!r}\n# n={ts.n}\n"
+    return (head + "".join(f"{float(v)!r}\n" for v in ts.samples)).encode("ascii")
+
+
+float_edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1.0, -1.0,
+                               1.7976931348623157e308, -1.7976931348623157e308])
+finite_floats = st.one_of(float_edges, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of one length: float64 arrays, Python floats with gaps (None),
+    ints, numpy ints and booleans, some passed twice."""
+    n = draw(st.integers(0, 40))
+    cells = {
+        "f64": st.floats(allow_nan=False, allow_infinity=False) | float_edges,
+        "obj": st.none() | st.booleans() | st.integers(-10**12, 10**12) | finite_floats,
+        "int": st.integers(-2**62, 2**62),
+        "bool": st.booleans(),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(cells[kind], min_size=n, max_size=n))
+        if kind == "f64":
+            columns.append(np.array(values, dtype=np.float64))
+        elif kind == "int" and draw(st.booleans()):
+            columns.append(np.array(values, dtype=np.int64))
+        else:
+            columns.append(values)
+    # the same column object again, as ``rho_reweighted`` is ``rho`` unreweighted
+    columns += [columns[j] for j in draw(st.lists(st.integers(0, len(columns) - 1),
+                                                  max_size=2))]
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+class TestColumnCodec:
+    """The block-wise, column-wise writers give the bytes of the row-wise ones."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=csv_tables(), block=st.integers(1, 7))
+    def test_csv_matches_row_oracle(self, table, block):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(series, "_WRITE_BLOCK_ROWS", block):
+            path = os.path.join(tmp, "t.csv")
+            series._write_csv(path, header, columns)
+            with open(path, "rb") as fh:
+                got = fh.read()
+        assert got == csv_oracle(header, zip(*columns))
+
+    @settings(max_examples=50, deadline=None)
+    @given(samples=st.lists(finite_floats, min_size=1, max_size=40),
+           t0=finite_floats, block=st.integers(1, 7))
+    def test_gwx_matches_sample_oracle(self, samples, t0, block):
+        ts = TimeSeries(4096.0, t0, samples)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(series, "_WRITE_BLOCK_ROWS", block):
+            path = os.path.join(tmp, "x.gwx")
+            save_strain(ts, path)
+            with open(path, "rb") as fh:
+                got = fh.read()
+        assert got == gwx_oracle(ts)
 
 
 class TestSliceWindow:
