@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
-import scipy.signal
 
 from .errors import ValidationError
 from .series import PSD_FLOOR_RATIO, PowerSpectrum, TimeSeries
@@ -95,6 +93,8 @@ def butterworth_bandpass(
         )
     if order < 1:
         raise ValidationError(f"filter order must be >= 1, got {order}")
+    import scipy.signal
+
     sos = scipy.signal.butter(order, [f_lo, f_hi], btype="bandpass", fs=ts.fs, output="sos")
     try:
         if zero_phase:
@@ -136,6 +136,8 @@ def detect_lines(
         raise ValidationError(f"threshold_ratio must exceed 1, got {threshold_ratio}")
     if median_window_hz <= 0:
         raise ValidationError("median_window_hz must be positive")
+    import scipy.ndimage
+
     values = psd.values
     k = max(3, int(round(median_window_hz / psd.df)) | 1)
     baseline = scipy.ndimage.median_filter(values, size=min(k, values.size | 1), mode="nearest")
@@ -209,6 +211,8 @@ def whiten_localized(
         raise ValidationError("median_window_hz must be positive")
     k = max(3, int(round(median_window_hz / (ts.fs / n))) | 1)
     k = min(k, grid.size | 1)
+    import scipy.ndimage
+
     baseline = scipy.ndimage.median_filter(grid, size=k, mode="nearest")
     baseline = np.maximum(baseline, PSD_FLOOR_RATIO * float(np.median(grid)))
     excess = np.sqrt(np.maximum(grid / baseline, 1.0))

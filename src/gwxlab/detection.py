@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.signal
 from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
@@ -455,8 +454,14 @@ def matched_filter(
 # normalized short-window cross-correlation
 
 
+def _energy(x: np.ndarray) -> float:
+    # einsum, not np.dot: BLAS splits a long dot across its threads, which
+    # moves the last bit with the thread count
+    return float(np.einsum("i,i->", x, x))
+
+
 def _unit_energy(x: np.ndarray, what: str) -> np.ndarray:
-    energy = float(np.dot(x, x))
+    energy = _energy(x)
     if energy <= 0.0:
         raise DegeneracyError(f"{what} window has zero energy")
     return x / math.sqrt(energy)
@@ -484,9 +489,11 @@ def decorrelation_time(template: TimeSeries) -> float:
     content do not count as decay.  Raises when the envelope never
     crosses 1/e (a constant-envelope tone never decorrelates).
     """
+    import scipy.signal
+
     x = template.samples
     n = x.size
-    energy = float(np.dot(x, x))
+    energy = _energy(x)
     if energy <= 0.0:
         raise DegeneracyError("zero-energy series has no decorrelation time")
     corr = scipy.signal.correlate(x, x, mode="full", method="fft")[n - 1:]

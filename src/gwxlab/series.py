@@ -36,7 +36,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import DegeneracyError, ParseError, ValidationError
 
@@ -405,6 +404,8 @@ def welch_psd(
         raise ValidationError(
             f"unknown window {window!r}; pick one of {sorted(_WELCH_WINDOWS)}"
         )
+    import scipy.signal
+
     _, pxx = scipy.signal.welch(
         ts.samples,
         fs=ts.fs,

@@ -13,8 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.signal
+import scipy.fft
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
@@ -106,7 +105,7 @@ def extract_phase_amplitude(h: TimeSeries, carrier_f0: float = 0.0) -> Template:
     """
     if carrier_f0 < 0:
         raise ValidationError(f"carrier must be >= 0 Hz, got {carrier_f0}")
-    z = scipy.signal.hilbert(h.samples)
+    z = _analytic_signal(h.samples)
     envelope = np.abs(z)
     peak = float(np.max(envelope)) if envelope.size else 0.0
     if peak <= 0.0 or np.mean(envelope < 0.01 * peak) > 0.10:
@@ -124,6 +123,16 @@ def extract_phase_amplitude(h: TimeSeries, carrier_f0: float = 0.0) -> Template:
     return Template(base=h, phase=phase, envelope=envelope, f0=carrier_f0)
 
 
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """``x + i H[x]``: the spectrum with doubled positive and zeroed
+    negative frequencies (``scipy.signal.hilbert``'s weights)."""
+    n = x.size
+    spec = scipy.fft.fft(x)
+    spec[1:(n + 1) // 2] *= 2.0
+    spec[n // 2 + 1:] = 0.0
+    return scipy.fft.ifft(spec)
+
+
 def _synthesize(fs: float, t0: float, phase, envelope, f0: float) -> TimeSeries:
     t = np.arange(len(phase)) / fs
     return TimeSeries(fs, t0, envelope * np.cos(2.0 * np.pi * f0 * t + phase))
@@ -133,6 +142,8 @@ def _shaped_noise(rng, n: int, fs: float, smoothing_bw: float) -> np.ndarray:
     """Unit-std Gaussian noise, low-passed below fs/2, then re-normalized."""
     w = rng.standard_normal(n)
     if smoothing_bw < fs / 2:
+        import scipy.signal
+
         sos = scipy.signal.butter(4, smoothing_bw, btype="lowpass", fs=fs, output="sos")
         w = scipy.signal.sosfiltfilt(sos, w)
     std = float(np.std(w))
@@ -177,6 +188,24 @@ def template_error(ideal: TimeSeries, candidate: TimeSeries) -> tuple[TimeSeries
 # stock chirp generators
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ``y`` over ``x``, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _tukey(n: int, alpha: float) -> np.ndarray:
+    """Symmetric Tukey window of ``n >= 2`` samples, ``0 < alpha < 1``:
+    cosine ramps over ``alpha * (n - 1) / 2`` samples at each end."""
+    k = np.arange(n, dtype=np.float64)
+    width = int(np.floor(alpha * (n - 1) / 2.0))
+    w = np.ones(n)
+    head, tail = k[:width + 1], k[n - width - 1:]
+    w[:width + 1] = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / (n - 1))))
+    w[n - width - 1:] = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * tail / alpha
+                                                   / (n - 1))))
+    return w
+
+
 def _inspiral_chirp(
     fs: float,
     duration: float,
@@ -200,9 +229,9 @@ def _inspiral_chirp(
     tau = t / (n / fs)
     a, b = f_start ** (-8.0 / 3.0), f_end ** (-8.0 / 3.0)
     freq = (a + (b - a) * tau) ** (-3.0 / 8.0)
-    total_phase = 2.0 * np.pi * scipy.integrate.cumulative_trapezoid(freq, t, initial=0.0)
+    total_phase = 2.0 * np.pi * _cumulative_trapezoid(freq, t)
     envelope = (freq / f_end) ** amp_exponent
-    envelope *= scipy.signal.windows.tukey(n, alpha=taper)
+    envelope *= _tukey(n, taper)
     phase = total_phase - 2.0 * np.pi * carrier_f0 * t
     base = _synthesize(fs, 0.0, phase, envelope, carrier_f0)
     return Template(base=base, phase=phase, envelope=envelope, f0=carrier_f0)

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -309,3 +311,36 @@ class TestReadme:
                                        for i, argv in enumerate(README_COMMANDS)])
     def test_command_exits_0(self, exit_codes, index):
         assert exit_codes[index] == 0, "gwxlab " + " ".join(README_COMMANDS[index])
+
+
+LAZY_MODULES = ("scipy.signal", "scipy.ndimage", "scipy.integrate")
+
+_MF_CHAIN = """
+import sys
+from gwxlab.cli import main
+
+for argv in (
+    ["noise", "--duration", "8", "--seed", "3", "--out", "run"],
+    ["template", "--kind", "gw150914", "--out", "run"],
+    ["inject", "--host", "run/noise.gwx", "--signal", "run/gw150914.gwx", "--at", "4",
+     "--out", "run"],
+    ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
+     "--psd", "model", "--mode", "circular", "--out", "run"],
+    ["scenario", "run", "mf-sine-misfire", "--trials", "2", "--seed", "3", "--out", "runs"],
+):
+    assert main(argv) == 0, argv
+print("loaded:", sorted(m for m in sys.modules if m in {modules!r}))
+"""
+
+
+class TestLazyImports:
+    def test_matched_filter_chain_loads_no_scipy_signal(self, tmp_path):
+        """The matched-filter path, from noise to a Monte-Carlo run, never
+        imports the heavy scipy subpackages; they load at call time only."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _MF_CHAIN.format(modules=LAZY_MODULES)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded: []"

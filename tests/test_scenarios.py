@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from gwxlab import (
     save_strain,
     scenario_descriptions,
 )
+from gwxlab import scenarios
 from gwxlab.scenarios import ScenarioResult
 
 EXPECTED_NAMES = {
@@ -119,6 +124,141 @@ class TestMonteCarlo:
 
         with pytest.raises(DegeneracyError, match="trial 0"):
             monte_carlo(trial, 1, seed_base=1)
+
+
+def _with_lanes(lanes: int):
+    """Force ``monte_carlo``'s lane count, as if the process had ``lanes`` CPUs."""
+    return mock.patch.object(scenarios, "_lane_count",
+                             lambda trials: max(1, min(trials, lanes)))
+
+
+def _sequential(trial_fn, trials, seed_base, name):
+    """Oracle: the plain loop ``monte_carlo`` runs with one lane."""
+    for k in range(trials):
+        try:
+            trial_fn(k, scenarios.derive_seed(seed_base, k))
+        except GwxError as exc:
+            raise type(exc)(f"{name}: trial {k} (seed_base {seed_base}) failed: {exc}") from exc
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+    def test_reports_do_not_depend_on_lane_count(self, name, tmp_path):
+        cfg = ScenarioConfig(name=name, trials=3, seed_base=5)
+        for lanes in (1, 2):
+            with _with_lanes(lanes):
+                run_scenario(cfg, out_dir=tmp_path / str(lanes))
+        files = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for f in files:
+            assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f
+
+    def test_two_lanes_use_two_threads(self):
+        idents = set()
+
+        def trial(k, seed):
+            idents.add(threading.get_ident())
+            time.sleep(0.05)
+            return TrialReport(trial_index=k, seed=seed, peak_rho=float(k))
+
+        with _with_lanes(2):
+            reports, _ = monte_carlo(trial, 4, seed_base=1)
+        assert len(idents) == 2
+        assert [r.trial_index for r in reports] == [0, 1, 2, 3]
+        assert [r.seed for r in reports] == [scenarios.derive_seed(1, k) for k in range(4)]
+
+    def test_each_trial_runs_once_under_contention(self):
+        # more lanes than cores and a short switch interval: a lost update to
+        # the shared trial counter would run a trial twice or skip one
+        runs = []
+
+        def trial(k, seed):
+            runs.append(k)
+            return TrialReport(trial_index=k, seed=seed, peak_rho=float(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _with_lanes(8):
+                reports, stats = monte_carlo(trial, 500, seed_base=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == list(range(500))
+        assert [r.trial_index for r in reports] == list(range(500))
+        assert stats["trials"] == 500
+
+    @pytest.mark.parametrize("lanes", (1, 2, 4))
+    def test_failure_matches_the_sequential_loop(self, lanes):
+        def trial(k, seed):
+            if k == 1:
+                raise DegeneracyError(f"flat at {seed}")
+            return TrialReport(trial_index=k, seed=seed)
+
+        with pytest.raises(DegeneracyError) as want:
+            _sequential(trial, 4, 9, "mf-x")
+        with _with_lanes(lanes), pytest.raises(DegeneracyError) as got:
+            monte_carlo(trial, 4, seed_base=9, name="mf-x")
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert "trial 1 (seed_base 9) failed" in str(got.value)
+
+    @pytest.mark.parametrize("lanes", (1, 2))
+    def test_lowest_failing_index_wins(self, lanes):
+        # trial 2 fails at once, trial 1 later; the loop would stop at trial 1
+        def trial(k, seed):
+            if k == 1:
+                time.sleep(0.1)
+                raise ValidationError("one")
+            if k == 2:
+                raise DegeneracyError("two")
+            return TrialReport(trial_index=k, seed=seed)
+
+        with _with_lanes(lanes), pytest.raises(ValidationError, match="trial 1 .* one$"):
+            monte_carlo(trial, 4, seed_base=1)
+
+    def test_no_trial_starts_after_a_failure(self):
+        started = []
+
+        def trial(k, seed):
+            started.append(k)
+            if k == 1:
+                raise ValidationError("boom")
+            time.sleep(0.01)
+            return TrialReport(trial_index=k, seed=seed)
+
+        with _with_lanes(2), pytest.raises(ValidationError):
+            monte_carlo(trial, 40, seed_base=1)
+        assert 1 in started
+        assert max(started) < 10
+
+    def test_other_errors_pass_through(self):
+        def trial(k, seed):
+            raise KeyError(k)
+
+        with _with_lanes(2), pytest.raises(KeyError):
+            monte_carlo(trial, 3, seed_base=1)
+
+    def test_one_trial_starts_no_thread(self, tmp_path):
+        inputs = {}
+        for key, seed in (("strain_a", 1), ("strain_b", 2)):
+            inputs[key] = str(tmp_path / f"{key}.gwx")
+            save_strain(colored_noise(default_detector_model(), 4.0, 4096.0, seed=seed),
+                        inputs[key])
+        caller = threading.current_thread()
+        ran_in = []
+
+        def trial(k, seed):
+            ran_in.append(threading.current_thread())
+            return TrialReport(trial_index=k, seed=seed)
+
+        with mock.patch.object(threading.Thread, "start",
+                               side_effect=AssertionError("a thread was started")):
+            monte_carlo(trial, 1, seed_base=1)
+            run_scenario(ScenarioConfig(name="circular-artifact", trials=1))
+            run_scenario(ScenarioConfig(name="running-baseline", trials=1,
+                                        options=FAST_OPTIONS["running-baseline"]))
+            run_scenario(ScenarioConfig(name="h1l1-ccf", trials=3, inputs=inputs))
+        assert ran_in == [caller]
 
 
 class TestScenarioRegistry:

@@ -14,6 +14,7 @@ from gwxlab import (
     stock_template,
     template_error,
 )
+from gwxlab import templates
 
 FS = 4096.0
 
@@ -224,3 +225,41 @@ class TestTemplateFiles:
     def test_unknown_stock_name(self):
         with pytest.raises(ValidationError):
             stock_template("gw999999")
+
+
+class TestScipyOracles:
+    """The numpy stand-ins for scipy.signal and scipy.integrate in the stock
+    chirp generator and the phase extraction give scipy's bytes."""
+
+    SIZES = (8, 9, 492, 819, 4096, 4097)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("alpha", (0.05, 0.10, 0.5, 0.9))
+    def test_tukey(self, n, alpha):
+        import scipy.signal
+
+        assert templates._tukey(n, alpha).tobytes() == \
+            scipy.signal.windows.tukey(n, alpha=alpha).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cumulative_trapezoid(self, n):
+        import scipy.integrate
+
+        rng = np.random.default_rng(n)
+        y, x = rng.standard_normal(n), np.cumsum(rng.random(n))
+        want = scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)
+        assert templates._cumulative_trapezoid(y, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(templates.STOCK_TEMPLATES))
+    def test_analytic_signal_of_stock_templates(self, name):
+        import scipy.signal
+
+        x = stock_template(name, FS).base.samples
+        assert templates._analytic_signal(x).tobytes() == scipy.signal.hilbert(x).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_analytic_signal_even_and_odd(self, n):
+        import scipy.signal
+
+        x = np.random.default_rng(n).standard_normal(n)
+        assert templates._analytic_signal(x).tobytes() == scipy.signal.hilbert(x).tobytes()
