@@ -28,12 +28,14 @@ from .detection import (
 from .errors import DegeneracyError, GwxError, ParseError, ValidationError
 from .scenarios import (
     SCENARIO_NAMES,
+    SCENARIOS,
     FalseAlarmParams,
     ScenarioConfig,
     emit_report,
     false_alarm_rate,
     run_scenario,
     scenario_descriptions,
+    scenario_options,
 )
 from .series import (
     PowerSpectrum,
@@ -109,9 +111,8 @@ def _cmd_template(args) -> int:
 
 def _cmd_bogus(args) -> int:
     tpl = load_template(args.template) if args.template else stock_template(args.kind, args.fs)
-    spec = BogusSpec(sigma_phase=args.sigma_phase, sigma_amp=args.sigma_amp,
-                     smoothing_bw=args.smooth_bw, seed=args.seed)
-    return _save_out(args, make_bogus(tpl, spec))
+    return _save_out(args, make_bogus(tpl, BogusSpec(sigma_phase=args.sigma_phase,
+                                                     seed=args.seed)))
 
 
 def _cmd_inject(args) -> int:
@@ -121,7 +122,7 @@ def _cmd_inject(args) -> int:
 def _cmd_psd(args) -> int:
     ts = load_strain(args.strain)
     seg = int(round(args.segment * ts.fs)) if args.segment else None
-    psd = welch_psd(ts, segment_len=seg, overlap=args.overlap, window=args.window)
+    psd = welch_psd(ts, segment_len=seg)
     path = _out_path(args, args.name)
     save_psd_csv(psd, path)
     print(path)
@@ -142,8 +143,7 @@ def _cmd_whiten(args) -> int:
 def _cmd_bandpass(args) -> int:
     ts = load_strain(args.strain)
     f_lo, f_hi = _parse_pair(args.band, "f_lo:f_hi")
-    return _save_out(args, butterworth_bandpass(ts, f_lo, f_hi, order=args.order,
-                                                zero_phase=not args.causal))
+    return _save_out(args, butterworth_bandpass(ts, f_lo, f_hi, order=args.order))
 
 
 def _cmd_mf(args) -> int:
@@ -151,7 +151,7 @@ def _cmd_mf(args) -> int:
     template = load_strain(args.template)
     psd = _load_psd(args.psd, strain.fs)
     cfg = MfConfig(
-        block_len=args.block_len,
+        block_len=None,
         mode=args.mode,
         reweight_bins=None if args.no_reweight else args.n_bins,
         band=_parse_pair(args.band, "f_lo:f_hi") if args.band else None,
@@ -212,11 +212,17 @@ def _cmd_scenario(args) -> int:
     if args.action == "list":
         for name, desc in scenario_descriptions().items():
             print(f"{name}: {desc}")
+            for p in scenario_options(name).values():
+                print(f"    {p.name}: {p.annotation} = {p.default!r}")
+            print(f"    inputs: {', '.join(SCENARIOS[name][1])}")
         return 0
     if not args.scenario_name:
         raise ValidationError("scenario run needs a scenario name")
     data = _read_json(args.config) if args.config else {}
-    sections = {key: data.get(key, {}) for key in ("options", "inputs")}
+    sections = {key: data.pop(key, {}) for key in ("options", "inputs")}
+    if data:
+        raise ParseError(f"{args.config}: unknown keys {sorted(data)}; "
+                         f"expected 'options' and 'inputs'")
     for key, value in sections.items():
         if not isinstance(value, dict):
             raise ParseError(f"{args.config}: {key!r} must be a JSON object, "
@@ -281,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["gw150914", "gw151226", "gw170104"])
     p.add_argument("--template", help="template basename saved by 'template'")
     p.add_argument("--sigma-phase", type=float, default=1.0)
-    p.add_argument("--sigma-amp", type=float, default=0.0)
-    p.add_argument("--smooth-bw", type=float, default=64.0)
     p.add_argument("--name", default="bogus.gwx")
     p.set_defaults(fn=_cmd_bogus)
 
@@ -294,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="injected.gwx")
     p.set_defaults(fn=_cmd_inject)
 
-    p = sub.add_parser("psd", help="Welch PSD estimate of a strain file")
+    p = sub.add_parser("psd", help="Welch PSD estimate of a strain file "
+                                    "(Blackman window, 50% overlap)")
     common(p)
     p.add_argument("--strain", required=True)
     p.add_argument("--segment", type=float, help="segment length, s (default 4 s)")
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--window", default="blackman", choices=["blackman", "hann", "rect"])
     p.add_argument("--name", default="psd.csv")
     p.set_defaults(fn=_cmd_psd)
 
@@ -319,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strain", required=True)
     p.add_argument("--band", default="43:300", help="f_lo:f_hi in Hz")
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--causal", action="store_true", help="single-pass causal filter")
     p.add_argument("--name", default="bandpassed.gwx")
     p.set_defaults(fn=_cmd_bandpass)
 
@@ -329,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True)
     p.add_argument("--psd", default="model")
     p.add_argument("--mode", default="circular", choices=["circular", "cyclic_prefix"])
-    p.add_argument("--block-len", type=float, default=None)
     p.add_argument("--n-bins", type=int, default=16, help="chi-squared bands")
     p.add_argument("--no-reweight", action="store_true")
     p.add_argument("--band", help="restrict to f_lo:f_hi")

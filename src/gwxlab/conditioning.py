@@ -78,13 +78,11 @@ def butterworth_bandpass(
     f_lo: float,
     f_hi: float,
     order: int = 4,
-    zero_phase: bool = True,
 ) -> TimeSeries:
-    """Butterworth band-pass, forward-backward (zero phase) by default.
-
-    ``zero_phase=False`` runs a single causal pass instead.  Output keeps
-    the input length; discard roughly twice the filter settling time at
-    each edge before making quantitative use of the result.
+    """Zero-phase Butterworth band-pass, one pass forward and one backward,
+    as in LIGO's GW150914 tutorial.  Output keeps the input length; discard
+    roughly twice the filter settling time at each edge before making
+    quantitative use of the result.
     """
     if not (0.0 < f_lo < f_hi < ts.fs / 2):
         raise ValidationError(
@@ -97,10 +95,7 @@ def butterworth_bandpass(
 
     sos = scipy.signal.butter(order, [f_lo, f_hi], btype="bandpass", fs=ts.fs, output="sos")
     try:
-        if zero_phase:
-            y = scipy.signal.sosfiltfilt(sos, ts.samples)
-        else:
-            y = scipy.signal.sosfilt(sos, ts.samples)
+        y = scipy.signal.sosfiltfilt(sos, ts.samples)
     except ValueError as exc:
         raise ValidationError(f"series too short for this filter: {exc}") from exc
     return ts.with_samples(y)

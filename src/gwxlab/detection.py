@@ -7,11 +7,11 @@ The matched filter computes the noise-weighted correlation
 
 in one of two block modes.  ``circular`` multiplies block-grid spectra
 and inverse-transforms, wrap-around artifacts included, which is what a
-naive finite-block implementation does.  ``cyclic_prefix`` prepends the
-last template-length samples of the strain before transforming and
-discards the prefixed region afterwards, which makes the output equal a
-direct time-domain linear correlation of the strain with the whitened
-template kernel.
+naive finite-block implementation does.  ``cyclic_prefix`` is the linear
+correlation of the strain with the whitened template kernel over the
+full-overlap lags, which is all a cyclic prefix buys: the kept lags of a
+prefixed circular correlation never read the prefix, so the bare strain
+is transformed, zero-padded so that no kept lag wraps.
 
 The chi-squared veto (Allen, gr-qc/0405045) splits the filtered bins into
 N bands of equal template power, whose SNR series z_i sum to z, and
@@ -30,9 +30,9 @@ only show where the reduced chi-squared is far below 1, which leaves the
 reweighted SNR unchanged.  ``cyclic_prefix`` keeps one filter per band,
 since its bands sit on the template grid: the plan holds the conjugate
 spectrum of the whitened kernel and of each band's kernel at a fast
-length of at least n + nt, so a filtered block costs one forward
-transform plus one inverse transform per kernel.  The template-side work
-is planned once and reused while template, PSD, configuration and block
+length of at least n, so a filtered block costs one forward transform
+plus one inverse transform per kernel.  The template-side work is
+planned once and reused while template, PSD, configuration and block
 shape stay the same.
 
 The short-window path is a normalized time-domain cross-correlation:
@@ -248,8 +248,9 @@ class _MfPlan:
     the in-band conjugate template and PSD and, when reweighting, the
     chi-squared band bounds.  In ``cyclic_prefix`` mode it also holds the
     conjugate spectrum of the whitened-template kernel, and of one kernel
-    per chi-squared band, at the fast length ``fft_len >= n + nt``; the
-    prefixed correlation never wraps, so the zero padding is exact.
+    per chi-squared band, at the fast length ``fft_len >= n``; the kept
+    lags 0..n - nt read strain samples up to n - 1 only, so the zero
+    padding is exact.
     Depends only on (template, PSD, cfg, block length, rate).
     """
 
@@ -286,7 +287,7 @@ class _MfPlan:
             self.out_len = n
         else:
             self.out_len = n - nt + 1
-            self.fft_len = next_fast_len(n + nt)
+            self.fft_len = next_fast_len(n)
             self.kernel_spec = self._kernel_spectrum(self.mask)
 
         if cfg.reweight_bins is not None:
@@ -326,20 +327,19 @@ class _MfPlan:
     def snr_complex(self, strain: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Complex matched-filter series over the output lags, plus the
         strain-side spectrum that :meth:`chi2_reduced` needs."""
-        n, nt = self.n, self.nt
+        n = self.n
         if self.cfg.mode == "circular":
             strain_fft = np.fft.rfft(strain.samples) * self.dt
             q = np.zeros(n, dtype=np.complex128)
             q[self.sel] = 4.0 * strain_fft[self.sel] * self.hconj_sel / self.psd_sel
             return np.fft.ifft(q) * (n * self.grid_df), q
-        prefixed = np.concatenate([strain.samples[n - nt:], strain.samples])
-        block_fft = np.fft.fft(prefixed, self.fft_len)
-        return self._prefixed_snr(block_fft, self.kernel_spec), block_fft
+        block_fft = np.fft.fft(strain.samples, self.fft_len)
+        return self._linear_snr(block_fft, self.kernel_spec), block_fft
 
-    def _prefixed_snr(self, block_fft: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
-        # cyclic prefix: correlate against a planned kernel spectrum
+    def _linear_snr(self, block_fft: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
+        # linear correlation against a planned kernel spectrum, full-overlap lags
         corr = np.fft.ifft(block_fft * kernel_spec)
-        return 4.0 * self.dt * corr[self.nt:self.nt + self.out_len]
+        return 4.0 * self.dt * corr[:self.out_len]
 
     def chi2_reduced(self, z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Power chi-squared over equal-template-power bands, per output lag."""
@@ -351,7 +351,7 @@ class _MfPlan:
             chi2 = np.zeros(self.out_len)
             expected = z / n_bins
             for kernel_spec in self.band_kernel_specs:
-                z_i = self._prefixed_snr(spectrum, kernel_spec)
+                z_i = self._linear_snr(spectrum, kernel_spec)
                 chi2 += np.abs(z_i - expected) ** 2
         chi2 *= n_bins / self.hh
         return chi2 / (2 * n_bins - 2)
@@ -429,9 +429,9 @@ def matched_filter(
 
     Output sample k corresponds to the template aligned at strain time
     ``t0 + k/fs``.  ``circular`` mode covers every lag of the block,
-    wrap-around included; ``cyclic_prefix`` mode covers the lags where
-    the template fully overlaps the strain and equals direct time-domain
-    linear correlation there.
+    wrap-around included; ``cyclic_prefix`` mode is direct time-domain
+    linear correlation over the lags where the template fully overlaps the
+    strain, which is all a cyclic prefix buys.
     """
     _check_block(strain, template, cfg)
     plan = _plan_for(template, psd, cfg, strain.n, strain.fs)

@@ -57,6 +57,7 @@ __all__ = [
     "FalseAlarmParams",
     "SCENARIO_NAMES",
     "scenario_descriptions",
+    "scenario_options",
     "run_scenario",
     "monte_carlo",
     "emit_report",
@@ -70,9 +71,9 @@ SUMMARY_SCHEMA = "gwxlab-summary v1"
 class ScenarioConfig:
     """One reproducible scenario invocation.
 
-    ``options`` overrides scenario-specific knobs (burst ratios, block
-    lengths, detection settings); ``inputs`` points at optional external
-    files (e.g. a real template basename under key ``template``).
+    ``options`` overrides the knobs in :func:`scenario_options`; ``inputs``
+    points at optional external files (e.g. a real template basename under
+    key ``template``).  Unread keys and wrong-kind option values are rejected.
     """
 
     name: str
@@ -91,9 +92,32 @@ class ScenarioConfig:
             raise ValidationError("trials must be >= 1")
         if self.fs <= 0:
             raise ValidationError("fs must be positive")
+        params = scenario_options(self.name)
+        for key, value in self.options.items():
+            if key not in params:
+                raise ValidationError(f"scenario {self.name!r} has no option {key!r}; "
+                                      f"its options are {sorted(params)}")
+            kind = params[key].annotation  # "X | None" also takes null
+            fits, what = _OPTION_KINDS[kind.removesuffix(" | None")]
+            if not (fits(value) or (value is None and kind.endswith(" | None"))):
+                raise ValidationError(f"option {key!r} must be {what}, got {value!r}")
+        inputs = SCENARIOS[self.name][1]
+        for key in self.inputs:
+            if key not in inputs:
+                raise ValidationError(f"scenario {self.name!r} reads no input {key!r}; "
+                                      f"its inputs are {sorted(inputs)}")
 
-    def opt(self, key, default):
-        return self.options.get(key, default)
+
+# annotation -> (test, what a value must be); a list's pairs are checked where read
+_OPTION_KINDS = {
+    "float": (_finite, "a finite number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(map(_finite, v)), "a pair [f_lo, f_hi] of numbers"),
+    "list[tuple[float, float]]": (lambda v: isinstance(v, (list, tuple)),
+                                  "a list of [start, end] pairs"),
+}
 
 
 @dataclass(frozen=True)
@@ -247,22 +271,15 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
 # shared scenario pieces
 
 
-def _whiten_and_band(ts: TimeSeries, psd: PowerSpectrum, band=(43.0, 300.0)) -> TimeSeries:
+def _whiten_and_band(ts: TimeSeries, psd: PowerSpectrum, band) -> TimeSeries:
     return butterworth_bandpass(whiten_full(ts, psd), band[0], band[1])
 
 
-def _number_option(cfg: ScenarioConfig, key: str, default: float):
-    value = cfg.opt(key, default)
-    if not _finite(value):
-        raise ValidationError(f"option {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-def _template_for(cfg: ScenarioConfig, default_kind: str):
+def _template_for(cfg: ScenarioConfig, template_kind: str):
     basename = cfg.inputs.get("template")
     if basename:
         return load_template(basename), True
-    return stock_template(cfg.opt("template_kind", default_kind), cfg.fs), False
+    return stock_template(template_kind, cfg.fs), False
 
 
 class _Columns:
@@ -288,40 +305,30 @@ def _ccf_figure(ccf) -> tuple[list[str], _Columns]:
     return ["lag_s", "ccf"], _Columns(ccf.lags, ccf.values)
 
 
-def _misfire_scenario(cfg: ScenarioConfig, burst_kind: str) -> ScenarioResult:
+def _misfire_scenario(cfg: ScenarioConfig, make_burst, *, block_len: float = 32.0,
+                      template_kind: str = "gw150914", chi2_bins: int | None = 16,
+                      mf_mode: str = "circular", band: tuple[float, float] | None = None,
+                      burst_at: float = 15.5) -> ScenarioResult:
     """Low-amplitude burst against the chirp template, 32 s blocks.
 
-    The verdict statistic is the plain peak SNR (reweighting disabled in
-    this scenario's detection config): the chi-squared consistency veto,
-    kept as a diagnostic, suppresses narrowband bursts so strongly that
-    the misfire would be invisible through it.  ``fired_fraction_chi2``
-    in the summary reports the vetoed variant.
+    The two misfire scenarios build ``make_burst(noise, seed)`` from their
+    burst options and pass the shared ones on.  The verdict statistic is
+    the plain peak SNR (reweighting disabled in this scenario's detection
+    config): the chi-squared consistency veto, kept as a diagnostic,
+    suppresses narrowband bursts so strongly that the misfire would be
+    invisible through it.  ``fired_fraction_chi2`` in the summary reports
+    the vetoed variant.
     """
     model = _psd_model(cfg)
-    block = cfg.opt("block_len", 32.0)
-    tpl, _ = _template_for(cfg, "gw150914")
-    n_psd = int(round(block * cfg.fs)) // 2 + 1
-    psd = model.to_power_spectrum(1.0 / block, n_psd)
-    chi2_bins = cfg.opt("chi2_bins", 16)
-    mf_cfg = MfConfig(block_len=block, mode=cfg.opt("mf_mode", "circular"),
-                      reweight_bins=chi2_bins, band=cfg.opt("band", None))
-    t_at = cfg.opt("burst_at", 15.5)
+    tpl, _ = _template_for(cfg, template_kind)
+    n_psd = int(round(block_len * cfg.fs)) // 2 + 1
+    psd = model.to_power_spectrum(1.0 / block_len, n_psd)
+    mf_cfg = MfConfig(block_len=block_len, mode=mf_mode, reweight_bins=chi2_bins, band=band)
     first_fig = {}
 
     def trial(k: int, seed: int) -> TrialReport:
-        noise = colored_noise(model, block, cfg.fs, seed=seed)
-        if burst_kind == "sine_decay":
-            spec = BurstSpec(kind="sine_decay", duration=cfg.opt("burst_duration", 1.0),
-                             sigma_ratio=cfg.opt("sigma_ratio", 1.0 / 100.0),
-                             f0=cfg.opt("burst_f0", 64.0),
-                             decay_tau=cfg.opt("decay_tau", 0.25))
-            burst = sine_burst(spec, ref=noise)
-        else:
-            spec = BurstSpec(kind="awgn", duration=cfg.opt("burst_duration", 1.0),
-                             sigma_ratio=cfg.opt("sigma_ratio", 1.0 / 500.0),
-                             seed=derive_seed(seed, 0xB0B))
-            burst = awgn_burst(spec, ref=noise)
-        strain = inject(noise, burst, t_at)
+        noise = colored_noise(model, block_len, cfg.fs, seed=seed)
+        strain = inject(noise, make_burst(noise, seed), burst_at)
         snr = matched_filter(strain, tpl.base, psd, mf_cfg)
         peak_plain = float(np.max(snr.rho))
         peak_chi2 = float(np.max(snr.rho_reweighted))
@@ -349,26 +356,34 @@ def _psd_model(cfg: ScenarioConfig) -> PsdModel:
     return default_detector_model()
 
 
-def _scenario_mf_sine(cfg):
-    return _misfire_scenario(cfg, "sine_decay")
+def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
+                      sigma_ratio: float = 0.01, burst_f0: float = 64.0,
+                      decay_tau: float | None = 0.25, **shared) -> ScenarioResult:
+    spec = BurstSpec(kind="sine_decay", duration=burst_duration, sigma_ratio=sigma_ratio,
+                     f0=burst_f0, decay_tau=decay_tau)
+    return _misfire_scenario(cfg, lambda noise, seed: sine_burst(spec, ref=noise), **shared)
 
 
-def _scenario_mf_awgn(cfg):
-    return _misfire_scenario(cfg, "awgn")
+def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
+                      sigma_ratio: float = 0.002, **shared) -> ScenarioResult:
+    def make_burst(noise: TimeSeries, seed: int) -> TimeSeries:
+        return awgn_burst(BurstSpec(kind="awgn", duration=burst_duration, sigma_ratio=sigma_ratio,
+                                    seed=derive_seed(seed, 0xB0B)), ref=noise)
+
+    return _misfire_scenario(cfg, make_burst, **shared)
 
 
-def _scenario_mf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                       block_len: float = 4.0, ideal_rho: float = 20.0, sigma_phase: float = 1.0,
+                       chi2_bins: int | None = 16) -> ScenarioResult:
     """Bogus chirp templates injected into white noise, filtered against
     the ideal template with the chi-squared veto active."""
-    tpl, _ = _template_for(cfg, "gw150914")
-    block = cfg.opt("block_len", 4.0)
-    n = int(round(block * cfg.fs))
+    tpl, _ = _template_for(cfg, template_kind)
+    n = int(round(block_len * cfg.fs))
     psd = PowerSpectrum(df=1.0, values=np.full(int(cfg.fs / 2) + 1, 2.0 / cfg.fs))
-    amp = cfg.opt("ideal_rho", 20.0) / math.sqrt(sigma_norm(tpl.base, psd))
-    sigma_phase = cfg.opt("sigma_phase", 1.0)
-    mf_cfg = MfConfig(block_len=block, mode="circular",
-                      reweight_bins=cfg.opt("chi2_bins", 16))
-    t_at = block / 2.0
+    amp = ideal_rho / math.sqrt(sigma_norm(tpl.base, psd))
+    mf_cfg = MfConfig(block_len=block_len, mode="circular", reweight_bins=chi2_bins)
+    t_at = block_len / 2.0
     figures = {}
 
     def trial(k: int, seed: int) -> TrialReport:
@@ -398,13 +413,13 @@ def _scenario_mf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_ccf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_ccf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw151226",
+                        sigma_phase: float = 0.7, noise_ratio: float = 0.5,
+                        max_lag: float | None = None) -> ScenarioResult:
     """Short-window CCF of a noisy bogus template against the ideal one."""
-    tpl, _ = _template_for(cfg, "gw151226")
-    sigma_phase = cfg.opt("sigma_phase", 0.7)
-    noise_ratio = cfg.opt("noise_ratio", 0.5)
+    tpl, _ = _template_for(cfg, template_kind)
     tau0 = decorrelation_time(tpl.base)
-    max_lag = cfg.opt("max_lag", 0.9 * tpl.base.duration)
+    max_lag = 0.9 * tpl.base.duration if max_lag is None else max_lag
     figures = {}
 
     def trial(k: int, seed: int) -> TrialReport:
@@ -427,7 +442,9 @@ def _scenario_ccf_bogus(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_h1l1_ccf(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: float = 0.2, max_lag: float | None = None,
+                       band: tuple[float, float] = (43.0, 300.0),
+                       event_at: float | None = None) -> ScenarioResult:
     """Cross-detector CCF over the event window.
 
     Default mode is the null test: two independent synthetic noise
@@ -436,10 +453,11 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig) -> ScenarioResult:
     conditioned the same way and the window at ``event_at`` is compared
     instead (one evaluation per file pair).
     """
+    files = [key for key in ("strain_a", "strain_b") if key in cfg.inputs]
+    if len(files) == 1:
+        raise ValidationError(f"inputs 'strain_a' and 'strain_b' go together; got {files}")
     model = _psd_model(cfg)
-    window = cfg.opt("window", 0.2)
-    max_lag = cfg.opt("max_lag", window / 2.0)
-    band = cfg.opt("band", (43.0, 300.0))
+    max_lag = window / 2.0 if max_lag is None else max_lag
     psd = model.to_power_spectrum(1.0, int(cfg.fs / 2) + 1)
     figures = {}
 
@@ -450,10 +468,10 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig) -> ScenarioResult:
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=ccf.peak_abs, r3=ccf.r3, peaky=ccf.peaky)
 
-    if "strain_a" in cfg.inputs and "strain_b" in cfg.inputs:
+    if files:
         a = load_strain(cfg.inputs["strain_a"])
         b = load_strain(cfg.inputs["strain_b"])
-        event_at = cfg.opt("event_at", a.t0 + a.duration / 2.0 - window / 2.0)
+        event_at = a.t0 + a.duration / 2.0 - window / 2.0 if event_at is None else event_at
 
         def trial(k: int, seed: int) -> TrialReport:
             # one evaluation of the file pair, recorded at seed_base
@@ -475,19 +493,19 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_ref_systems(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                          noise_ratio: float = 0.5, band: tuple[float, float] = (43.0, 300.0),
+                          max_lag: float | None = None) -> ScenarioResult:
     """Reference systems: the template correlated with itself (A), with
     white noise added on both sides (1), and with detector-like noise
     added on both sides (2)."""
-    tpl, from_file = _template_for(cfg, "gw150914")
+    tpl, from_file = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    noise_ratio = cfg.opt("noise_ratio", 0.5)
-    band = cfg.opt("band", (43.0, 300.0))
     psd = model.to_power_spectrum(1.0, int(cfg.fs / 2) + 1)
     h = tpl.base.samples
     hrms = float(np.sqrt(np.mean(h**2)))
     tau0 = decorrelation_time(tpl.base)
-    max_lag = cfg.opt("max_lag", 0.95 * tpl.base.duration)
+    max_lag = 0.95 * tpl.base.duration if max_lag is None else max_lag
     self_ccf = normalized_ccf(tpl.base, tpl.base, max_lag=max_lag, tau0=tau0)
     figures = {"ccf.csv": _ccf_figure(self_ccf)}
 
@@ -528,13 +546,12 @@ def _scenario_ref_systems(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_window_compare(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                             band: tuple[float, float] = (43.0, 300.0), long_window: float = 20.0,
+                             amp_rel: float = 1.5, long_max_lag: float = 1.0) -> ScenarioResult:
     """Event-duration window versus a 20 s window for the same injection."""
-    tpl, _ = _template_for(cfg, "gw150914")
+    tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    band = cfg.opt("band", (43.0, 300.0))
-    long_window = cfg.opt("long_window", 20.0)
-    amp_rel = cfg.opt("amp_rel", 1.5)
     span = long_window + 1.0
     event = tpl.base.duration
     t_inj = span / 2.0
@@ -554,7 +571,7 @@ def _scenario_window_compare(cfg: ScenarioConfig) -> ScenarioResult:
         short = normalized_ccf(slice_window(strain, t_inj, event), short_ref,
                                max_lag=0.95 * event, tau0=tau0)
         long = normalized_ccf(slice_window(strain, long_start, long_window), long_ref,
-                              max_lag=cfg.opt("long_max_lag", 1.0), tau0=tau0)
+                              max_lag=long_max_lag, tau0=tau0)
         if k == 0:
             figures["ccf_short.csv"] = _ccf_figure(short)
             figures["ccf_long.csv"] = _ccf_figure(long)
@@ -570,15 +587,14 @@ def _scenario_window_compare(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_whiten_distortion(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                                line_ratio: float = 1e4, line_amp_rel: float = 3.0,
+                                band: tuple[float, float] = (43.0, 300.0),
+                                span: float = 8.0) -> ScenarioResult:
     """Template plus strong mains interference, whitened both ways; the
     relative waveform error after each path is compared over the event."""
-    tpl, _ = _template_for(cfg, "gw150914")
+    tpl, _ = _template_for(cfg, template_kind)
     base_model = _psd_model(cfg)
-    line_ratio = cfg.opt("line_ratio", 1e4)
-    line_amp_rel = cfg.opt("line_amp_rel", 3.0)
-    band = cfg.opt("band", (43.0, 300.0))
-    span = cfg.opt("span", 8.0)
     model = PsdModel(
         segments=base_model.segments,
         lines=(PsdLine(60.0, line_ratio, 0.5),)
@@ -632,22 +648,15 @@ def _scenario_whiten_distortion(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                               duration: float = 64.0, hop: float = 1.0,
+                               band: tuple[float, float] = (43.0, 300.0),
+                               edge_exclusion: float = 2.0,
+                               exclusions: list[tuple[float, float]] = ()) -> ScenarioResult:
     """Running-window CCF noise baseline over a long stretch of synthetic
     detector noise, excluding the block edges."""
-    tpl, _ = _template_for(cfg, "gw150914")
+    tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    duration = _number_option(cfg, "duration", 64.0)
-    hop = cfg.opt("hop", 1.0)
-    band = cfg.opt("band", (43.0, 300.0))
-    if not (isinstance(band, (list, tuple)) and len(band) == 2 and all(map(_finite, band))):
-        raise ValidationError(f"option 'band' must be a pair [f_lo, f_hi] of numbers, "
-                              f"got {band!r}")
-    edge = _number_option(cfg, "edge_exclusion", 2.0)
-    user_exclusions = cfg.opt("exclusions", [])
-    if not isinstance(user_exclusions, (list, tuple)):
-        raise ValidationError(f"option 'exclusions' must be a list of [start, end] pairs, "
-                              f"got {user_exclusions!r}")
     psd = model.to_power_spectrum(0.125, 16385)
     tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
     tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band)
@@ -658,9 +667,9 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
     def trial(k: int, seed: int) -> TrialReport:
         processed = _whiten_and_band(colored_noise(model, duration, cfg.fs, seed=seed),
                                      psd, band)
-        exclusions = list(user_exclusions) + [(0.0, edge), (duration - edge, duration)]
+        spans = [*exclusions, (0.0, edge_exclusion), (duration - edge_exclusion, duration)]
         stats_list = running_window_ccf(processed, tpl_proc, hop=hop,
-                                        exclusions=exclusions, tau0=tau0)
+                                        exclusions=spans, tau0=tau0)
         peaks = np.array([s.peak_abs_ccf for s in stats_list])
         r3s = np.array([s.r3 for s in stats_list])
         if k == 0:
@@ -679,12 +688,12 @@ def _scenario_running_baseline(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_circular_artifact(cfg: ScenarioConfig) -> ScenarioResult:
+def _scenario_circular_artifact(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
+                                block_len: float = 8.0) -> ScenarioResult:
     """Deterministic witness: a template straddling the block boundary
     produces a wrap-around peak in circular mode only."""
-    tpl, _ = _template_for(cfg, "gw150914")
-    block = cfg.opt("block_len", 8.0)
-    n = int(round(block * cfg.fs))
+    tpl, _ = _template_for(cfg, template_kind)
+    n = int(round(block_len * cfg.fs))
     nt = tpl.base.n
     psd = PowerSpectrum(df=1.0, values=np.full(int(cfg.fs / 2) + 1, 1.0))
     figures = {}
@@ -698,9 +707,9 @@ def _scenario_circular_artifact(cfg: ScenarioConfig) -> ScenarioResult:
         x[:nt - half] += tpl.base.samples[half:]
         strain = TimeSeries(cfg.fs, 0.0, x)
         circ = matched_filter(strain, tpl.base, psd,
-                              MfConfig(block_len=block, mode="circular", reweight_bins=None))
+                              MfConfig(block_len=block_len, mode="circular", reweight_bins=None))
         cyc = matched_filter(strain, tpl.base, psd,
-                             MfConfig(block_len=block, mode="cyclic_prefix",
+                             MfConfig(block_len=block_len, mode="cyclic_prefix",
                                       reweight_bins=None))
         separation = abs(circ.peak.time - cyc.peak.time)
         figures["snr_circular.csv"] = _snr_figure(circ)
@@ -718,26 +727,27 @@ def _scenario_circular_artifact(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, reports, stats, figures)
 
 
+# name -> (scenario function, input keys it reads, description)
 SCENARIOS = {
-    "mf-sine-misfire": (_scenario_mf_sine,
+    "mf-sine-misfire": (_scenario_mf_sine, ("psd_model", "template"),
                         "matched filter vs 64 Hz decaying sine at 1/100 noise std"),
-    "mf-awgn-misfire": (_scenario_mf_awgn,
+    "mf-awgn-misfire": (_scenario_mf_awgn, ("psd_model", "template"),
                         "matched filter vs white noise burst at 1/500 noise std"),
-    "mf-bogus": (_scenario_mf_bogus,
+    "mf-bogus": (_scenario_mf_bogus, ("template",),
                  "matched filter vs phase-noise bogus chirp templates"),
-    "ccf-bogus": (_scenario_ccf_bogus,
+    "ccf-bogus": (_scenario_ccf_bogus, ("template",),
                   "short-window CCF vs noisy bogus chirp templates"),
-    "h1l1-ccf": (_scenario_h1l1_ccf,
+    "h1l1-ccf": (_scenario_h1l1_ccf, ("psd_model", "strain_a", "strain_b"),
                  "null CCF between two independent detector noise windows"),
-    "ref-systems": (_scenario_ref_systems,
+    "ref-systems": (_scenario_ref_systems, ("psd_model", "template"),
                     "reference systems: template self/noisy-pair correlations"),
-    "window-compare": (_scenario_window_compare,
+    "window-compare": (_scenario_window_compare, ("psd_model", "template"),
                        "R3 with the event-duration window vs a 20 s window"),
-    "whiten-distortion": (_scenario_whiten_distortion,
+    "whiten-distortion": (_scenario_whiten_distortion, ("psd_model", "template"),
                           "full-band vs localized whitening waveform error"),
-    "running-baseline": (_scenario_running_baseline,
+    "running-baseline": (_scenario_running_baseline, ("psd_model", "template"),
                          "running-window CCF noise baseline over a long block"),
-    "circular-artifact": (_scenario_circular_artifact,
+    "circular-artifact": (_scenario_circular_artifact, ("template",),
                           "wrap-around peak witness: circular vs cyclic-prefix"),
 }
 
@@ -745,18 +755,31 @@ SCENARIO_NAMES = tuple(sorted(SCENARIOS))
 
 
 def scenario_descriptions() -> dict:
-    return {name: desc for name, (_, desc) in sorted(SCENARIOS.items())}
+    return {name: desc for name, (_, _, desc) in sorted(SCENARIOS.items())}
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> ScenarioResult:
+def scenario_options(name: str) -> dict:
+    """``{option: inspect.Parameter}`` from the keyword-only parameters of the
+    scenario function, and of :func:`_misfire_scenario` if it takes ``**shared``."""
+    import inspect
+
+    options = {}
+    for fn in (SCENARIOS[name][0], _misfire_scenario):
+        params = inspect.signature(fn).parameters.values()
+        options.update((p.name, p) for p in params if p.kind is p.KEYWORD_ONLY)
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            return options
+
+
+def run_scenario(config: ScenarioConfig,
+                 out_dir: str | os.PathLike | None = None) -> ScenarioResult:
     """Execute a scenario; optionally emit its report files."""
-    fn, _ = SCENARIOS[cfg.name]
-    result = fn(cfg)
+    result = SCENARIOS[config.name][0](config, **config.options)
     summary = {
         "schema": SUMMARY_SCHEMA,
-        "scenario": cfg.name,
-        "seed_base": cfg.seed_base,
-        "fs_hz": cfg.fs,
+        "scenario": config.name,
+        "seed_base": config.seed_base,
+        "fs_hz": config.fs,
         "thresholds": {"snr": SNR_THRESHOLD, "r3": R3_THRESHOLD},
         **result.summary,
     }

@@ -374,20 +374,12 @@ def slice_window(ts: TimeSeries, t_start: float, duration: float) -> TimeSeries:
     return TimeSeries(ts.fs, ts.t0 + i0 / ts.fs, ts.samples[i0:i0 + n])
 
 
-_WELCH_WINDOWS = {"blackman": "blackman", "hann": "hann", "rect": "boxcar"}
+def welch_psd(ts: TimeSeries, segment_len: int | None = None) -> PowerSpectrum:
+    """One-sided Welch PSD estimate with a Blackman window and 50% overlap,
+    as in LIGO's GW150914 tutorial processing.
 
-
-def welch_psd(
-    ts: TimeSeries,
-    segment_len: int | None = None,
-    overlap: float = 0.5,
-    window: str = "blackman",
-) -> PowerSpectrum:
-    """One-sided Welch PSD estimate.
-
-    Defaults: ``segment_len = 4 * fs`` samples (capped at the series
-    length), 50% overlap, Blackman window.  For unit-variance white noise
-    the band-averaged level is 2/fs.
+    ``segment_len`` defaults to ``4 * fs`` samples, capped at the series
+    length.  For unit-variance white noise the band-averaged level is 2/fs.
     """
     if segment_len is None:
         segment_len = min(int(round(4 * ts.fs)), ts.n)
@@ -398,20 +390,14 @@ def welch_psd(
         raise ValidationError(
             f"segment_len {segment_len} exceeds series length {ts.n}"
         )
-    if not 0.0 <= overlap < 1.0:
-        raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
-    if window not in _WELCH_WINDOWS:
-        raise ValidationError(
-            f"unknown window {window!r}; pick one of {sorted(_WELCH_WINDOWS)}"
-        )
     import scipy.signal
 
     _, pxx = scipy.signal.welch(
         ts.samples,
         fs=ts.fs,
-        window=_WELCH_WINDOWS[window],
+        window="blackman",
         nperseg=segment_len,
-        noverlap=int(round(overlap * segment_len)),
+        noverlap=int(round(0.5 * segment_len)),
         detrend=False,
         return_onesided=True,
         scaling="density",

@@ -3,8 +3,8 @@
 A template is carried as instantaneous phase ``m(t)`` and envelope
 ``a(t)`` around an optional carrier ``f0``, reconstructing as
 ``a(t) * cos(2*pi*f0*t + m(t))``.  Bogus templates add band-limited
-Gaussian noise to the phase (and optionally the envelope), producing
-chirp-like waveforms that differ substantially from the original.
+Gaussian noise to the phase and keep the envelope, producing chirp-like
+frequency-modulated waveforms that differ substantially from the original.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ __all__ = [
     "save_template",
     "load_template",
 ]
+
+# bogus phase noise is low-passed at this frequency
+_SMOOTHING_HZ = 64.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,26 +77,21 @@ class Template:
 
 @dataclass(frozen=True)
 class BogusSpec:
-    """Noise recipe for a bogus template.
+    """Noise recipe for a pure-FM bogus template.
 
-    ``sigma_phase`` / ``sigma_amp`` are the standard deviations of the
-    additive phase noise (radians) and fractional envelope noise
-    (relative to the envelope RMS).  The raw white noise is low-passed at
-    ``smoothing_bw`` Hz and rescaled to the exact target deviation, so
-    bogus templates stay chirp-like instead of turning into broadband
-    hash; at or above fs/2 the smoothing is skipped.
+    ``sigma_phase`` is the standard deviation of the additive phase noise
+    in radians.  The raw white noise is low-passed at 64 Hz and rescaled
+    to the exact target deviation, so bogus templates stay chirp-like
+    instead of turning into broadband hash; at or above fs/2 the smoothing
+    is skipped.
     """
 
     sigma_phase: float
-    sigma_amp: float = 0.0
-    smoothing_bw: float = 64.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_phase < 0 or self.sigma_amp < 0:
-            raise ValidationError("noise deviations must be nonnegative")
-        if self.smoothing_bw <= 0:
-            raise ValidationError("smoothing_bw must be positive")
+        if self.sigma_phase < 0:
+            raise ValidationError("sigma_phase must be nonnegative")
 
 
 def extract_phase_amplitude(h: TimeSeries, carrier_f0: float = 0.0) -> Template:
@@ -138,13 +136,13 @@ def _synthesize(fs: float, t0: float, phase, envelope, f0: float) -> TimeSeries:
     return TimeSeries(fs, t0, envelope * np.cos(2.0 * np.pi * f0 * t + phase))
 
 
-def _shaped_noise(rng, n: int, fs: float, smoothing_bw: float) -> np.ndarray:
+def _shaped_noise(rng, n: int, fs: float) -> np.ndarray:
     """Unit-std Gaussian noise, low-passed below fs/2, then re-normalized."""
     w = rng.standard_normal(n)
-    if smoothing_bw < fs / 2:
+    if _SMOOTHING_HZ < fs / 2:
         import scipy.signal
 
-        sos = scipy.signal.butter(4, smoothing_bw, btype="lowpass", fs=fs, output="sos")
+        sos = scipy.signal.butter(4, _SMOOTHING_HZ, btype="lowpass", fs=fs, output="sos")
         w = scipy.signal.sosfiltfilt(sos, w)
     std = float(np.std(w))
     if std > 0:
@@ -153,18 +151,13 @@ def _shaped_noise(rng, n: int, fs: float, smoothing_bw: float) -> np.ndarray:
 
 
 def make_bogus(tpl: Template, spec: BogusSpec) -> TimeSeries:
-    """Synthesize a bogus template with noisy phase (and envelope).
+    """Synthesize a bogus template: the template's envelope with noisy phase.
 
-    Deterministic for a fixed seed; with both deviations zero the output
+    Deterministic for a fixed seed; with ``sigma_phase`` zero the output
     is ``envelope * cos(2*pi*f0*t + phase)`` on the base grid exactly.
     """
-    rng = rng_for(spec.seed)
-    n = tpl.base.n
-    w_phase = _shaped_noise(rng, n, tpl.fs, spec.smoothing_bw) * spec.sigma_phase
-    w_amp = _shaped_noise(rng, n, tpl.fs, spec.smoothing_bw) * spec.sigma_amp
-    amp_rms = float(np.sqrt(np.mean(tpl.envelope**2)))
-    envelope = tpl.envelope + amp_rms * w_amp
-    return _synthesize(tpl.fs, tpl.base.t0, tpl.phase + w_phase, envelope, tpl.f0)
+    w_phase = _shaped_noise(rng_for(spec.seed), tpl.base.n, tpl.fs) * spec.sigma_phase
+    return _synthesize(tpl.fs, tpl.base.t0, tpl.phase + w_phase, tpl.envelope, tpl.f0)
 
 
 def template_error(ideal: TimeSeries, candidate: TimeSeries) -> tuple[TimeSeries, float]:

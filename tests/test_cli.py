@@ -125,6 +125,13 @@ class TestScenarioCommand:
         assert "mf-sine-misfire" in out
         assert out.count(":") >= 10
 
+    def test_list_shows_options_and_inputs(self, capsys):
+        assert run("scenario", "list") == 0
+        block = capsys.readouterr().out.split("ccf-bogus: ")[1].split("\ncircular-artifact: ")[0]
+        assert "    sigma_phase: float = 0.7\n" in block
+        assert "    max_lag: float | None = None\n" in block
+        assert block.endswith("    inputs: template")
+
     def test_run_writes_reports(self, tmp_path, capsys):
         code = run("scenario", "run", "h1l1-ccf", "--trials", "3", "--seed", "21",
                    "--out", str(tmp_path))
@@ -218,6 +225,14 @@ class TestWrongShapeJson:
         err = capsys.readouterr().err
         assert str(config) in err and key in err
 
+    def test_scenario_config_unknown_top_level_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"option": {"window": 1.0}}')
+        assert run("scenario", "run", "h1l1-ccf", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "'option'" in err
+
     def test_bogus_template_f0(self, tmp_path, capsys):
         assert run("template", "--kind", "gw150914", "--fs", "1024",
                    "--out", str(tmp_path)) == 0
@@ -247,7 +262,7 @@ class TestWrongShapeJson:
         assert f"{config}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("options, message", [
-        ({"hop": "x"}, "hop must be a positive finite number, got 'x'"),
+        ({"hop": "x"}, "option 'hop' must be a finite number, got 'x'"),
         ({"exclusions": [[1.0, "x"]]}, "an exclusion must be a (start, end) pair"),
         ({"duration": "x"}, "option 'duration' must be a finite number, got 'x'"),
         ({"exclusions": 5}, "option 'exclusions' must be a list of [start, end] pairs"),

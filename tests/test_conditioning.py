@@ -49,9 +49,8 @@ class TestButterworthBandpass:
 
     def test_output_length_preserved(self):
         ts = tone(100.0, duration=1.0)
-        for zero_phase in (True, False):
-            y = butterworth_bandpass(ts, 43.0, 300.0, zero_phase=zero_phase)
-            assert y.n == ts.n
+        y = butterworth_bandpass(ts, 43.0, 300.0)
+        assert y.n == ts.n
 
     def test_time_invariance(self):
         rng = np.random.default_rng(0)

@@ -447,8 +447,7 @@ class TestPlannedCyclicPrefix:
         cfg = MfConfig(block_len=None, mode="cyclic_prefix", reweight_bins=4)
         detection._last_plan = None
         plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
-        assert plan.fft_len == next_fast_len(strain.n + tpl.n)
-        assert plan.fft_len > strain.n + tpl.n  # the zero padding is exercised
+        assert plan.fft_len == next_fast_len(strain.n)  # the bare strain, no prefix
         z, spectrum = plan.snr_complex(strain)
         chi2 = plan.chi2_reduced(z, spectrum)
         z_ref, chi2_ref = prefixed_chi2_oracle(strain, tpl, psd, 4)
@@ -457,6 +456,22 @@ class TestPlannedCyclicPrefix:
         snr = matched_filter(strain, tpl, psd, cfg)
         np.testing.assert_array_equal(snr.chi2_reduced, chi2)
         assert abs(snr.peak.time - 0.7) <= 1.0 / FS
+
+    def test_padded_block_matches_prefixed_oracle(self):
+        # a block length that is not a fast length: the bare strain is
+        # zero-padded past its end, and no kept lag may read the padding
+        tpl = stock_template("gw150914", FS).base
+        psd = flat_psd(2.0 / FS)
+        strain = TimeSeries(FS, 0.0, rng_for(94).standard_normal(int(2 * FS) + 1))
+        cfg = MfConfig(block_len=None, mode="cyclic_prefix", reweight_bins=4)
+        detection._last_plan = None
+        plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
+        assert plan.fft_len > strain.n
+        z, spectrum = plan.snr_complex(strain)
+        z_ref, chi2_ref = prefixed_chi2_oracle(strain, tpl, psd, 4)
+        assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
+        chi2 = plan.chi2_reduced(z, spectrum)
+        assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
 
 
 class TestDecorrelationTime:

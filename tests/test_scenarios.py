@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -26,6 +27,7 @@ from gwxlab import (
     scenario_descriptions,
 )
 from gwxlab import scenarios
+from gwxlab.cli import main
 from gwxlab.scenarios import ScenarioResult
 
 EXPECTED_NAMES = {
@@ -387,3 +389,75 @@ def test_emit_report_rejects_non_finite_summary(tmp_path):
     with pytest.raises(ValidationError, match="'x'"):
         emit_report(bad, tmp_path)
     assert not (tmp_path / "summary.json").exists()
+
+
+# one value of the wrong kind for each option kind the checker knows
+WRONG_KIND = {
+    "float": "x",
+    "int": 1.5,
+    "str": 5,
+    "tuple[float, float]": [43.0],
+    "list[tuple[float, float]]": 5,
+}
+
+
+def _run_cli(tmp_path, name, config) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(["scenario", "run", name, "--trials", "1", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+class TestOptionChecker:
+    def test_misspelt_option_exits_2(self, name, tmp_path, capsys):
+        options = scenarios.scenario_options(name)
+        key = next(iter(options)) + "x"
+        assert _run_cli(tmp_path, name, {"options": {key: 1.0}}) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(sorted(options)) in err
+
+    def test_misspelt_input_exits_2(self, name, tmp_path, capsys):
+        assert _run_cli(tmp_path, name, {"inputs": {"templat": "tpl"}}) == 2
+        err = capsys.readouterr().err
+        assert "'templat'" in err and repr(sorted(scenarios.SCENARIOS[name][1])) in err
+
+    def test_wrong_kind_exits_2(self, name, tmp_path, capsys):
+        for key, param in scenarios.scenario_options(name).items():
+            kind = param.annotation.removesuffix(" | None")
+            assert _run_cli(tmp_path, name, {"options": {key: WRONG_KIND[kind]}}) == 2, key
+            assert f"option {key!r} must be" in capsys.readouterr().err
+
+    def test_annotations_known_and_defaults_fit(self, name):
+        options = scenarios.scenario_options(name)
+        assert options
+        for key, param in options.items():
+            assert param.annotation.removesuffix(" | None") in WRONG_KIND, key
+            ScenarioConfig(name=name, options={key: param.default})
+
+    def test_explicit_defaults_give_identical_reports(self, name, tmp_path):
+        fast = FAST_OPTIONS.get(name, {})
+        defaults = {key: param.default
+                    for key, param in scenarios.scenario_options(name).items()}
+        explicit = json.loads(json.dumps({**defaults, **fast}))  # as a config file has them
+        run_scenario(ScenarioConfig(name=name, trials=1, seed_base=8, options=fast),
+                     out_dir=tmp_path / "implicit")
+        run_scenario(ScenarioConfig(name=name, trials=1, seed_base=8, options=explicit),
+                     out_dir=tmp_path / "explicit")
+        for f in (tmp_path / "implicit").iterdir():
+            assert f.read_bytes() == (tmp_path / "explicit" / f.name).read_bytes(), f.name
+
+
+def test_awgn_misfire_rejects_sine_burst_option():
+    assert "burst_f0" in scenarios.scenario_options("mf-sine-misfire")
+    with pytest.raises(ValidationError, match="has no option 'burst_f0'"):
+        ScenarioConfig(name="mf-awgn-misfire", options={"burst_f0": 64.0})
+
+
+@pytest.mark.parametrize("key", ["strain_a", "strain_b"])
+def test_h1l1_ccf_needs_both_strain_files(key, tmp_path, capsys):
+    path = tmp_path / "x.gwx"
+    save_strain(TimeSeries(4096.0, 0.0, np.ones(4096)), path)
+    assert _run_cli(tmp_path, "h1l1-ccf", {"inputs": {key: str(path)}}) == 2
+    err = capsys.readouterr().err
+    assert "'strain_a'" in err and "'strain_b'" in err

@@ -122,7 +122,7 @@ class TestColoredNoise:
         # band-averaged re-estimate within a factor 2 of the model above 20 Hz
         model = default_detector_model()
         x = colored_noise(model, 256.0, 4096.0, seed=11)
-        psd = welch_psd(x, segment_len=4 * 4096, overlap=0.5, window="blackman")
+        psd = welch_psd(x, segment_len=4 * 4096)
         edges = [20, 40, 60, 100, 180, 300, 500, 1000, 2000]
         f = psd.frequencies()
         for lo, hi in zip(edges[:-1], edges[1:]):

@@ -116,12 +116,12 @@ class TestMakeBogus:
     def test_zero_noise_identity(self):
         tpl = stock_template("gw150914", FS)
         ideal = synthesize_fm(tpl)
-        bogus = make_bogus(tpl, BogusSpec(sigma_phase=0.0, sigma_amp=0.0, seed=99))
+        bogus = make_bogus(tpl, BogusSpec(sigma_phase=0.0, seed=99))
         np.testing.assert_allclose(bogus.samples, ideal.samples, atol=1e-12)
 
     def test_same_seed_bit_identical(self):
         tpl = stock_template("gw151226", FS)
-        spec = BogusSpec(sigma_phase=0.7, sigma_amp=0.1, seed=4242)
+        spec = BogusSpec(sigma_phase=0.7, seed=4242)
         np.testing.assert_array_equal(make_bogus(tpl, spec).samples,
                                       make_bogus(tpl, spec).samples)
 
