@@ -48,12 +48,18 @@ whole scan, gathers its windows as strided views of the long series and
 correlates them 64 rows at a time, one batched real FFT pair per chunk,
 with the energies, |CCF| peaks and R3 computed as vectors.  Batching
 changes values by round-off only, about 1e-16 on values bounded by 1.
+The chunks run on the CPUs no other lane holds (:mod:`gwxlab.lanes`):
+a scan in a one-trial run uses the idle CPU, one inside a trial that
+shares the CPUs with other trials runs inline.  Each lane owns its
+zero-padded row buffer and the chunk boundaries do not move, so the
+output is byte-identical whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +67,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
+from .lanes import run_lanes
 from .series import PowerSpectrum, TimeSeries
 
 __all__ = [
@@ -626,7 +633,10 @@ def ccf_decorrelation_time(ccf: CcfResult) -> float:
 
 def _finite(x) -> bool:
     """True for a finite real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def running_window_ccf(
@@ -643,8 +653,9 @@ def running_window_ccf(
     snapped to the sample grid; the scan stops at the first one that runs
     past the end.  Windows intersecting an exclusion range ``(t_a, t_b)``
     are skipped, as are zero-energy windows.  The kept windows are
-    correlated ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`;
-    results are ordered by window start.
+    correlated ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`,
+    the chunks spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`;
+    results are ordered by window start and do not depend on the CPU count.
     """
     if not (_finite(hop) and hop > 0):
         raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
@@ -682,22 +693,35 @@ def running_window_ccf(
 
     if first:  # else the window may be longer than the series
         view = np.lib.stride_tricks.sliding_window_view(long_ts.samples, n_win)
-    plan = None
-    out: list[RunningWindowStat] = []
-    for c in range(0, len(first), _CCF_CHUNK_ROWS):
-        rows = view[first[c:c + _CCF_CHUNK_ROWS]]
+    rows_per = _CCF_CHUNK_ROWS
+    chunks = range(0, len(first), rows_per)
+
+    def energies(c: int):
+        rows = view[first[c:c + rows_per]]
         energy = np.einsum("ij,ij->i", rows, rows)
-        kept = np.flatnonzero(energy > 0.0)
+        return rows, energy, np.flatnonzero(energy > 0.0)
+
+    # the plan is built after the first chunk with a usable window, so a
+    # scan with none says so first
+    lead = next((i for i, c in enumerate(chunks) if energies(c)[2].size), None)
+    if lead is None:
+        raise ValidationError("no usable windows: exclusions cover the whole span")
+    plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, max_lag), tau0)
+    chunks = chunks[lead:]
+    buffers = threading.local()
+
+    def correlate(i: int) -> list[RunningWindowStat]:
+        c = chunks[i]
+        rows, energy, kept = energies(c)
         if kept.size == 0:
-            continue
-        if plan is None:  # lazily, so a scan with no usable window says so first
-            plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, max_lag), tau0)
-            # rows zero-padded to the FFT length, so the FFT pads nothing
-            unit = np.zeros((_CCF_CHUNK_ROWS, plan.size))
+            return []
+        # one buffer per lane; rows zero-padded to the FFT length, so the FFT pads nothing
+        unit = getattr(buffers, "unit", None)
+        if unit is None:
+            unit = buffers.unit = np.zeros((rows_per, plan.size))
         np.divide(rows[kept], np.sqrt(energy[kept])[:, None], out=unit[:kept.size, :n_win])
         peaks, r3s = _peak_r3(plan.ccf(unit[:kept.size]), plan.outer)
-        out.extend(map(RunningWindowStat, [starts[c + k] for k in kept],
-                       peaks.tolist(), r3s.tolist()))
-    if not out:
-        raise ValidationError("no usable windows: exclusions cover the whole span")
-    return out
+        return list(map(RunningWindowStat, [starts[c + k] for k in kept],
+                        peaks.tolist(), r3s.tolist()))
+
+    return [stat for stats in run_lanes(correlate, len(chunks)) for stat in stats]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +33,7 @@ from .detection import (
     sigma_norm,
 )
 from .errors import GwxError, ValidationError
+from .lanes import run_lanes
 from .rng import derive_seed, rng_for
 from .series import (PowerSpectrum, TimeSeries, _json_text, _write_csv, _write_json,
                      load_strain, slice_window)
@@ -108,9 +108,13 @@ class ScenarioConfig:
                                       f"its inputs are {sorted(inputs)}")
 
 
+# a float option that must be > 0: annotating it ``Positive`` selects that check
+Positive = float
+
 # annotation -> (test, what a value must be); a list's pairs are checked where read
 _OPTION_KINDS = {
     "float": (_finite, "a finite number"),
+    "Positive": (lambda v: _finite(v) and v > 0, "a positive finite number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
@@ -181,56 +185,6 @@ def _fraction(flags: list[bool | None]) -> float | None:
     return sum(present) / len(present)
 
 
-def _lane_count(trials: int) -> int:
-    """One lane per CPU this process may run on, but no more than trials."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(trials, cpus))
-
-
-def _run_lanes(run, trials: int, lanes: int) -> list:
-    """``[run(0), ..., run(trials - 1)]``, with trials handed out in index
-    order to ``lanes`` lanes; the calling thread is one of them.
-
-    After a failure no further trial starts.  Every trial below the
-    failing index has started by then, so the lowest failing index is the
-    one a sequential loop would have stopped at; its error is raised.
-    """
-    results = [None] * trials
-    errors: dict[int, Exception] = {}
-    lock = threading.Lock()
-    next_k = [0]
-
-    def lane():
-        while True:
-            with lock:
-                k = next_k[0]
-                if k >= trials or errors:
-                    return
-                next_k[0] = k + 1
-            try:
-                results[k] = run(k)
-            except Exception as exc:
-                with lock:
-                    errors[k] = exc
-
-    helpers = [threading.Thread(target=lane, daemon=True) for _ in range(lanes - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        lane()
-    finally:
-        with lock:
-            next_k[0] = trials  # an interrupt in this thread starts no more trials
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
     """Run seeded trials and aggregate order-independent statistics.
 
@@ -238,11 +192,12 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
     Returns ``(reports, stats)`` where stats holds fired/peaky fractions
     and 5/50/95% quantiles of the peak statistics.
 
-    Trials run concurrently on every CPU this process may use, one lane
-    per CPU up to the trial count; the calling thread is a lane, so a
-    one-trial run starts no thread.  Each trial is a pure function of its
-    index and derived seed, and reports are collected in trial order, so
-    the output does not depend on the CPU count.  A failing trial raises
+    Trials run on the lanes of :func:`gwxlab.lanes.run_lanes`: the
+    calling thread plus one helper per idle CPU, up to the trial count,
+    so a one-trial run starts no thread and leaves the idle CPUs to the
+    CCF chunks of its scan.  Each trial is a pure function of its index
+    and derived seed, and reports are collected in trial order, so the
+    output does not depend on the CPU count.  A failing trial raises
     what the sequential loop would: the first failure in index order.
     Each concurrent 32 s matched-filter trial holds about 12 MiB.
     """
@@ -256,7 +211,7 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
             # same class, so the CLI still tells bad input from degenerate data
             raise type(exc)(f"{name}: trial {k} (seed_base {seed_base}) failed: {exc}") from exc
 
-    reports: list[TrialReport] = _run_lanes(run, trials, _lane_count(trials))
+    reports: list[TrialReport] = run_lanes(run, trials)
     stats = {
         "trials": trials,
         "fired_fraction": _fraction([r.fired for r in reports]),
@@ -305,7 +260,7 @@ def _ccf_figure(ccf) -> tuple[list[str], _Columns]:
     return ["lag_s", "ccf"], _Columns(ccf.lags, ccf.values)
 
 
-def _misfire_scenario(cfg: ScenarioConfig, make_burst, *, block_len: float = 32.0,
+def _misfire_scenario(cfg: ScenarioConfig, make_burst, *, block_len: Positive = 32.0,
                       template_kind: str = "gw150914", chi2_bins: int | None = 16,
                       mf_mode: str = "circular", band: tuple[float, float] | None = None,
                       burst_at: float = 15.5) -> ScenarioResult:
@@ -374,7 +329,8 @@ def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
 
 
 def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
-                       block_len: float = 4.0, ideal_rho: float = 20.0, sigma_phase: float = 1.0,
+                       block_len: Positive = 4.0, ideal_rho: float = 20.0,
+                       sigma_phase: float = 1.0,
                        chi2_bins: int | None = 16) -> ScenarioResult:
     """Bogus chirp templates injected into white noise, filtered against
     the ideal template with the chi-squared veto active."""
@@ -590,7 +546,7 @@ def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150
 def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
                                 line_ratio: float = 1e4, line_amp_rel: float = 3.0,
                                 band: tuple[float, float] = (43.0, 300.0),
-                                span: float = 8.0) -> ScenarioResult:
+                                span: Positive = 8.0) -> ScenarioResult:
     """Template plus strong mains interference, whitened both ways; the
     relative waveform error after each path is compared over the event."""
     tpl, _ = _template_for(cfg, template_kind)
@@ -689,7 +645,7 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
 
 
 def _scenario_circular_artifact(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
-                                block_len: float = 8.0) -> ScenarioResult:
+                                block_len: Positive = 8.0) -> ScenarioResult:
     """Deterministic witness: a template straddling the block boundary
     produces a wrap-around peak in circular mode only."""
     tpl, _ = _template_for(cfg, template_kind)

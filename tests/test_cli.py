@@ -268,11 +268,32 @@ class TestWrongShapeJson:
         ({"exclusions": 5}, "option 'exclusions' must be a list of [start, end] pairs"),
         ({"edge_exclusion": "x"}, "option 'edge_exclusion' must be a finite number"),
         ({"band": "x"}, "option 'band' must be a pair [f_lo, f_hi] of numbers, got 'x'"),
-    ], ids=["hop", "exclusion", "duration", "exclusions", "edge_exclusion", "band"])
+        ({"duration": 10**400}, "option 'duration' must be a finite number"),
+        ({"hop": 10**400}, "option 'hop' must be a finite number"),
+    ], ids=["hop", "exclusion", "duration", "exclusions", "edge_exclusion", "band",
+            "huge-duration", "huge-hop"])
     def test_running_baseline_option_values(self, tmp_path, capsys, options, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": {"duration": 8.0, **options}}))
         assert run("scenario", "run", "running-baseline", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, options, message", [
+        ("mf-sine-misfire", {"block_len": 0}, "option 'block_len' must be a positive finite "
+                                              "number, got 0"),
+        ("mf-awgn-misfire", {"block_len": 0}, "option 'block_len' must be a positive finite "
+                                              "number, got 0"),
+        ("whiten-distortion", {"span": 0}, "option 'span' must be a positive finite number"),
+        ("circular-artifact", {"block_len": 0}, "option 'block_len' must be a positive"),
+        ("circular-artifact", {"block_len": -1}, "option 'block_len' must be a positive finite "
+                                                 "number, got -1"),
+    ], ids=["sine-block_len", "awgn-block_len", "span", "artifact-block_len-0",
+            "artifact-block_len-neg"])
+    def test_out_of_range_option_values(self, tmp_path, capsys, name, options, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": options}))
+        assert run("scenario", "run", name, "--trials", "1",
                    "--config", str(config), "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
 

@@ -28,11 +28,16 @@ from gwxlab import (
     slice_window,
     stock_template,
 )
-from gwxlab import detection
+from gwxlab import detection, lanes
 from gwxlab.simulation import PsdModel, PsdSegment
 
 FS = 4096.0
 E_INV = 1.0 / np.e
+
+
+def _with_cpus(cpus: int):
+    """Run as if the process had ``cpus`` CPUs: the lane budget's CPU count."""
+    return mock.patch.object(lanes, "_cpu_count", lambda: cpus)
 
 
 def flat_psd(level=1.0, fs=FS):
@@ -676,15 +681,17 @@ class TestRunningWindowCcf:
     def test_all_excluded_is_error(self):
         tpl = stock_template("gw150914", FS)
         long_ts = TimeSeries(FS, 0.0, rng_for(13).standard_normal(int(2 * FS)))
-        with pytest.raises(ValidationError):
-            running_window_ccf(long_ts, tpl.base, hop=0.5, exclusions=[(-1.0, 99.0)])
+        for cpus in (1, 2):
+            with _with_cpus(cpus), pytest.raises(ValidationError, match="no usable windows"):
+                running_window_ccf(long_ts, tpl.base, hop=0.5, exclusions=[(-1.0, 99.0)])
 
     def test_window_longer_than_the_series_is_error(self):
         # 40 samples at 10 Hz span 4 s, more than the 50 samples at 100 Hz
         long_ts = TimeSeries(100.0, 0.0, rng_for(20).standard_normal(50))
         tpl = TimeSeries(10.0, 0.0, rng_for(21).standard_normal(40))
-        with pytest.raises(ValidationError, match="no usable windows"):
-            running_window_ccf(long_ts, tpl, hop=0.1, tau0=0.5)
+        for cpus in (1, 2):
+            with _with_cpus(cpus), pytest.raises(ValidationError, match="no usable windows"):
+                running_window_ccf(long_ts, tpl, hop=0.1, tau0=0.5)
 
     def test_ordered_by_start(self):
         tpl = stock_template("gw170104", FS)
@@ -793,7 +800,13 @@ class TestBatchedRunningCcf:
                 with pytest.raises(ValidationError, match="no usable windows"):
                     running_window_ccf(long_ts, tpl, hop=hop, exclusions=exclusions, tau0=tau0)
                 return
-            stats = running_window_ccf(long_ts, tpl, hop=hop, exclusions=exclusions, tau0=tau0)
+            by_cpus = []
+            for cpus in (1, 2):
+                with _with_cpus(cpus):
+                    by_cpus.append(running_window_ccf(long_ts, tpl, hop=hop,
+                                                      exclusions=exclusions, tau0=tau0))
+        stats = by_cpus[0]
+        assert np.array(by_cpus[1]).tobytes() == np.array(stats).tobytes()
         assert [s.t_start for s in stats] == [t for t, _ in kept]
         expected = np.array([_ccf_oracle(w, tpl.samples, tau0, tpl.fs) for _, w in kept])
         got = np.array([(s.peak_abs_ccf, s.r3) for s in stats])
@@ -812,3 +825,18 @@ class TestBatchedRunningCcf:
         assert [s.t_start for s in stats] == [t for t, _ in kept]
         whole = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
         np.testing.assert_allclose(np.array(stats), np.array(whole), rtol=1e-12, atol=0.0)
+
+    def test_flat_zero_ccf_in_a_later_chunk_fails_as_one_lane_does(self):
+        # 80 noise samples, then 1e200-scale ones whose windows normalize to
+        # zeros; at 4 rows a chunk the first such window is in chunk 4
+        x = np.concatenate([rng_for(22).standard_normal(80), np.full(40, 1e200)])
+        long_ts = TimeSeries(8.0, 0.0, x)
+        tpl = TimeSeries(8.0, 0.0, rng_for(23).standard_normal(8))
+        errors = []
+        for cpus in (1, 2):
+            with _with_cpus(cpus), mock.patch.object(detection, "_CCF_CHUNK_ROWS", 4), \
+                    np.errstate(over="ignore"), pytest.raises(DegeneracyError) as got:
+                running_window_ccf(long_ts, tpl, hop=0.5, tau0=0.2)
+            errors.append(got.value)
+        assert type(errors[1]) is type(errors[0])
+        assert str(errors[1]) == str(errors[0]) == "flat zero CCF has no peak ratio"

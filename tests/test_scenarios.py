@@ -26,7 +26,7 @@ from gwxlab import (
     save_strain,
     scenario_descriptions,
 )
-from gwxlab import scenarios
+from gwxlab import lanes, scenarios
 from gwxlab.cli import main
 from gwxlab.scenarios import ScenarioResult
 
@@ -128,10 +128,9 @@ class TestMonteCarlo:
             monte_carlo(trial, 1, seed_base=1)
 
 
-def _with_lanes(lanes: int):
-    """Force ``monte_carlo``'s lane count, as if the process had ``lanes`` CPUs."""
-    return mock.patch.object(scenarios, "_lane_count",
-                             lambda trials: max(1, min(trials, lanes)))
+def _with_lanes(cpus: int):
+    """Run as if the process had ``cpus`` CPUs: the lane budget's CPU count."""
+    return mock.patch.object(lanes, "_cpu_count", lambda: cpus)
 
 
 def _sequential(trial_fn, trials, seed_base, name):
@@ -261,6 +260,46 @@ class TestLanes:
                                         options=FAST_OPTIONS["running-baseline"]))
             run_scenario(ScenarioConfig(name="h1l1-ccf", trials=3, inputs=inputs))
         assert ran_in == [caller]
+
+    def test_nested_lanes_stay_within_the_budget(self):
+        # 8 CPUs: outer and inner calls together never hold more than 7
+        # helper slots, and every slot comes back
+        seen = []
+
+        def inner(j):
+            seen.append(lanes._helpers)
+            return j
+
+        def outer(k):
+            return sum(lanes.run_lanes(inner, 5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _with_lanes(8):
+                assert lanes.run_lanes(outer, 30) == [10] * 30
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 150 and max(seen) <= 7
+        assert lanes._helpers == 0
+
+    @pytest.mark.parametrize("cpus, trials, helpers", [(2, 1, 1), (2, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_running_baseline_never_oversubscribes(self, cpus, trials, helpers):
+        # at hop 0.01 s a 16 s scan is about 19 CCF chunks: one trial lends
+        # the idle CPU to them, two trials hold both CPUs and scan inline
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        cfg = ScenarioConfig(name="running-baseline", trials=trials,
+                             options={"duration": 16.0, "hop": 0.01})
+        with _with_lanes(cpus), mock.patch.object(threading.Thread, "start", counting_start):
+            run_scenario(cfg)
+        assert len(started) == helpers
+        assert lanes._helpers == 0
 
 
 class TestScenarioRegistry:
@@ -394,6 +433,7 @@ def test_emit_report_rejects_non_finite_summary(tmp_path):
 # one value of the wrong kind for each option kind the checker knows
 WRONG_KIND = {
     "float": "x",
+    "Positive": 0,
     "int": 1.5,
     "str": 5,
     "tuple[float, float]": [43.0],
