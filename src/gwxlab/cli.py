@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,6 +21,7 @@ from .conditioning import butterworth_bandpass, detect_lines, whiten_full, white
 from .detection import (
     SNR_THRESHOLD,
     MfConfig,
+    _finite,
     decorrelation_time,
     matched_filter,
     normalized_ccf,
@@ -53,13 +55,30 @@ from .simulation import PsdModel, colored_noise, default_detector_model, inject
 from .templates import BogusSpec, load_template, make_bogus, save_template, stock_template
 
 
-def _parse_pair(text: str, form: str) -> tuple[float, float]:
-    """Two numbers from ``a:b``; ``form`` names them in the error."""
+def _number(text: str) -> float:
     try:
-        a, b = text.split(":")
-        return float(a), float(b)
+        return float(text)
     except ValueError:
-        raise ValidationError(f"expected {form!r}, got {text!r}") from None
+        return math.nan
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan, inf and overflowing values are refused."""
+    value = _number(text)
+    if not _finite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _pair(form: str):
+    """argparse type: two finite numbers from ``a:b``; ``form`` names them in the error."""
+    def parse(text: str) -> tuple[float, float]:
+        pair = tuple(map(_number, text.split(":")))
+        if len(pair) != 2 or not all(map(_finite, pair)):
+            raise argparse.ArgumentTypeError(f"expected {form!r} as two finite numbers, "
+                                             f"got {text!r}")
+        return pair
+    return parse
 
 
 def _load_psd(arg: str, fs: float) -> PowerSpectrum:
@@ -142,8 +161,7 @@ def _cmd_whiten(args) -> int:
 
 def _cmd_bandpass(args) -> int:
     ts = load_strain(args.strain)
-    f_lo, f_hi = _parse_pair(args.band, "f_lo:f_hi")
-    return _save_out(args, butterworth_bandpass(ts, f_lo, f_hi, order=args.order))
+    return _save_out(args, butterworth_bandpass(ts, *args.band, order=args.order))
 
 
 def _cmd_mf(args) -> int:
@@ -154,7 +172,7 @@ def _cmd_mf(args) -> int:
         block_len=None,
         mode=args.mode,
         reweight_bins=None if args.no_reweight else args.n_bins,
-        band=_parse_pair(args.band, "f_lo:f_hi") if args.band else None,
+        band=args.band,
     )
     snr = matched_filter(strain, template, psd, cfg)
     path = _out_path(args, "snr.csv")
@@ -191,10 +209,9 @@ def _cmd_ccf(args) -> int:
 def _cmd_running_ccf(args) -> int:
     long_ts = load_strain(args.strain)
     template = load_strain(args.template)
-    exclusions = [_parse_pair(x, "start:end") for x in args.exclude]
     tau0 = decorrelation_time(template)
     stats = running_window_ccf(long_ts, template, hop=args.hop,
-                               exclusions=exclusions, tau0=tau0)
+                               exclusions=args.exclude, tau0=tau0)
     path = _out_path(args, "running.csv")
     _write_csv(path, ["t_start_s", "peak_abs_ccf", "r3"],
                [np.array(column) for column in zip(*stats)])
@@ -265,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in reads:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
         if "fs" in reads:
-            p.add_argument("--fs", type=float, default=4096.0, help="sample rate, Hz")
+            p.add_argument("--fs", type=_finite_float, default=4096.0, help="sample rate, Hz")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("noise", help="synthesize detector-like colored noise")
     common(p, "seed", "fs")
-    p.add_argument("--duration", type=float, default=32.0)
+    p.add_argument("--duration", type=_finite_float, default=32.0)
     p.add_argument("--config", help="PSD model JSON (psd_model.json schema)")
     p.add_argument("--name", default="noise.gwx")
     p.set_defaults(fn=_cmd_noise)
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="gw150914",
                    choices=["gw150914", "gw151226", "gw170104"])
     p.add_argument("--template", help="template basename saved by 'template'")
-    p.add_argument("--sigma-phase", type=float, default=1.0)
+    p.add_argument("--sigma-phase", type=_finite_float, default=1.0)
     p.add_argument("--name", default="bogus.gwx")
     p.set_defaults(fn=_cmd_bogus)
 
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--host", required=True)
     p.add_argument("--signal", required=True)
-    p.add_argument("--at", type=float, required=True, help="injection time, s")
+    p.add_argument("--at", type=_finite_float, required=True, help="injection time, s")
     p.add_argument("--name", default="injected.gwx")
     p.set_defaults(fn=_cmd_inject)
 
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(Blackman window, 50% overlap)")
     common(p)
     p.add_argument("--strain", required=True)
-    p.add_argument("--segment", type=float, help="segment length, s (default 4 s)")
+    p.add_argument("--segment", type=_finite_float, help="segment length, s (default 4 s)")
     p.add_argument("--name", default="psd.csv")
     p.set_defaults(fn=_cmd_psd)
 
@@ -312,15 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psd", default="model",
                    help="'model', 'model:<json>', or a psd CSV path")
     p.add_argument("--whiten", default="full", choices=["full", "localized"])
-    p.add_argument("--line-threshold", type=float, default=10.0)
-    p.add_argument("--line-window-hz", type=float, default=8.0)
+    p.add_argument("--line-threshold", type=_finite_float, default=10.0)
+    p.add_argument("--line-window-hz", type=_finite_float, default=8.0)
     p.add_argument("--name", default="whitened.gwx")
     p.set_defaults(fn=_cmd_whiten)
 
     p = sub.add_parser("bandpass", help="zero-phase Butterworth band-pass")
     common(p)
     p.add_argument("--strain", required=True)
-    p.add_argument("--band", default="43:300", help="f_lo:f_hi in Hz")
+    p.add_argument("--band", type=_pair("f_lo:f_hi"), default="43:300",
+                   help="f_lo:f_hi in Hz")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--name", default="bandpassed.gwx")
     p.set_defaults(fn=_cmd_bandpass)
@@ -333,23 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="circular", choices=["circular", "cyclic_prefix"])
     p.add_argument("--n-bins", type=int, default=16, help="chi-squared bands")
     p.add_argument("--no-reweight", action="store_true")
-    p.add_argument("--band", help="restrict to f_lo:f_hi")
+    p.add_argument("--band", type=_pair("f_lo:f_hi"), help="restrict to f_lo:f_hi")
     p.set_defaults(fn=_cmd_mf)
 
     p = sub.add_parser("ccf", help="normalized short-window cross-correlation")
     common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-lag", type=float, required=True)
-    p.add_argument("--tau0", type=float, default=None)
+    p.add_argument("--max-lag", type=_finite_float, required=True)
+    p.add_argument("--tau0", type=_finite_float, default=None)
     p.set_defaults(fn=_cmd_ccf)
 
     p = sub.add_parser("running-ccf", help="running-window CCF summaries")
     common(p)
     p.add_argument("--strain", required=True)
     p.add_argument("--template", required=True)
-    p.add_argument("--hop", type=float, default=1.0)
-    p.add_argument("--exclude", action="append", default=[],
+    p.add_argument("--hop", type=_finite_float, default=1.0)
+    p.add_argument("--exclude", type=_pair("start:end"), action="append", default=[],
                    help="time range start:end to skip; repeatable")
     p.set_defaults(fn=_cmd_running_ccf)
 
@@ -362,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_scenario)
 
     p = sub.add_parser("far", help="background-coincidence false-alarm probability")
-    p.add_argument("--nb", type=float, required=True,
+    p.add_argument("--nb", type=_finite_float, required=True,
                    help="louder background event count")
-    p.add_argument("--t", type=float, required=True, help="observation time")
-    p.add_argument("--tb", type=float, required=True, help="background time")
+    p.add_argument("--t", type=_finite_float, required=True, help="observation time")
+    p.add_argument("--tb", type=_finite_float, required=True, help="background time")
     p.set_defaults(fn=_cmd_far)
 
     return parser

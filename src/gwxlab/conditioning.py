@@ -116,6 +116,16 @@ def whiten_full(ts: TimeSeries, psd: PowerSpectrum) -> TimeSeries:
     return ts.with_samples(np.fft.irfft(white, n=n))
 
 
+def _running_median(values: np.ndarray, df: float, median_window_hz: float) -> np.ndarray:
+    """Running median over an odd kernel of ~``median_window_hz`` (>= 3 bins, <= the grid)."""
+    if not median_window_hz > 0:
+        raise ValidationError("median_window_hz must be positive")
+    import scipy.ndimage
+
+    k = max(3, int(round(median_window_hz / df)) | 1)
+    return scipy.ndimage.median_filter(values, size=min(k, values.size | 1), mode="nearest")
+
+
 def detect_lines(
     psd: PowerSpectrum,
     threshold_ratio: float = 10.0,
@@ -127,15 +137,10 @@ def detect_lines(
     merged and sorted by center frequency.  Band centers sit on the peak
     bin of each run.
     """
-    if threshold_ratio <= 1:
+    if not threshold_ratio > 1:
         raise ValidationError(f"threshold_ratio must exceed 1, got {threshold_ratio}")
-    if median_window_hz <= 0:
-        raise ValidationError("median_window_hz must be positive")
-    import scipy.ndimage
-
     values = psd.values
-    k = max(3, int(round(median_window_hz / psd.df)) | 1)
-    baseline = scipy.ndimage.median_filter(values, size=min(k, values.size | 1), mode="nearest")
+    baseline = _running_median(values, psd.df, median_window_hz)
     mask = values > threshold_ratio * baseline
     mask &= baseline > 0
     bands: list[LineBand] = []
@@ -201,18 +206,12 @@ def whiten_localized(
     bands = merge_bands(lines)
     if not bands:
         return ts.with_samples(ts.samples.copy())
-    grid = psd.floored(ts.fs / n, n // 2 + 1)
-    if median_window_hz <= 0:
-        raise ValidationError("median_window_hz must be positive")
-    k = max(3, int(round(median_window_hz / (ts.fs / n))) | 1)
-    k = min(k, grid.size | 1)
-    import scipy.ndimage
-
-    baseline = scipy.ndimage.median_filter(grid, size=k, mode="nearest")
-    baseline = np.maximum(baseline, PSD_FLOOR_RATIO * float(np.median(grid)))
+    df = ts.fs / n
+    grid = psd.floored(df, n // 2 + 1)
+    baseline = np.maximum(_running_median(grid, df, median_window_hz),
+                          PSD_FLOOR_RATIO * float(np.median(grid)))
     excess = np.sqrt(np.maximum(grid / baseline, 1.0))
-    freqs = np.arange(n // 2 + 1) * (ts.fs / n)
-    weight = _band_weights(freqs, bands)
+    weight = _band_weights(np.arange(n // 2 + 1) * df, bands)
     divisor = excess ** weight
     spec = np.fft.rfft(ts.samples) / divisor
     return ts.with_samples(np.fft.irfft(spec, n=n))

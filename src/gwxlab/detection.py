@@ -42,7 +42,9 @@ at zero lag, and peakiness is judged by the ratio R3 of the largest
 against the threshold 1/e.  Its reference side is planned once per
 window length: the conjugated spectrum of the unit-energy reference at a
 fast length of at least 2n - 1 (so the circular correlation of the FFT
-never wraps), the lag grid and the |lag| > 3 tau0 mask.  A single CCF
+never wraps), the lag grid and the |lag| > 3 tau0 mask, tau0 defaulting
+to the reference's decorrelation time.  That autocorrelation goes through
+the same real FFT at the same length, as |rfft|^2.  A single CCF
 uses a one-shot plan; the running-window CCF keeps one plan for the
 whole scan, gathers its windows as strided views of the long series and
 correlates them 64 rows at a time, one batched real FFT pair per chunk,
@@ -57,6 +59,7 @@ output is byte-identical whatever the CPU count.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -125,6 +128,7 @@ class MfConfig:
         if self.reweight_bins is not None and self.reweight_bins < 2:
             raise ValidationError("reweight_bins must be >= 2 or None")
         if self.band is not None:
+            object.__setattr__(self, "band", tuple(self.band))  # hashable: plans are cached
             f_lo, f_hi = self.band
             if not (0 <= f_lo < f_hi):
                 raise ValidationError(f"band must satisfy 0 <= f_lo < f_hi, got {self.band}")
@@ -299,6 +303,9 @@ class _MfPlan:
 
         if cfg.reweight_bins is not None:
             n_bins = cfg.reweight_bins
+            if n_bins > self.sel.size:
+                raise ValidationError(f"cannot build {n_bins} chi-squared bands from "
+                                      f"{self.sel.size} in-band bins; ask for at most that many")
             cum = np.cumsum(self.weights) / self.hh
             edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
             self.bounds = np.concatenate([[0], edges + 1, [self.weights.size]])
@@ -379,27 +386,16 @@ class _MfPlan:
         return np.fft.irfft(acf, self.n) * (scale * scale / self.n)
 
 
-_last_plan: tuple | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _plan_for(template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
               n: int, fs: float) -> _MfPlan:
-    """The last plan if it was built from these inputs, else a new one.
+    """The plan for these inputs; the last one is kept and reused.
 
-    Exact reuse: the template and PSD are frozen and own read-only copies
-    of their arrays, so the same objects always hold the same values.  The
-    entry is an immutable tuple swapped whole, so threads at worst rebuild.
+    Exact reuse: the template and PSD are frozen, compare by identity and
+    own read-only copies of their arrays, so the same objects always hold
+    the same values.  Threads at worst build a plan twice.
     """
-    global _last_plan
-    last = _last_plan
-    if last is not None:
-        last_tpl, last_psd, last_cfg, last_n, last_fs, plan = last
-        if (last_tpl is template and last_psd is psd and last_cfg == cfg
-                and last_n == n and last_fs == fs):
-            return plan
-    plan = _MfPlan(template, psd, cfg, n, fs)
-    _last_plan = (template, psd, cfg, n, fs, plan)
-    return plan
+    return _MfPlan(template, psd, cfg, n, fs)
 
 
 def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
@@ -474,6 +470,11 @@ def _unit_energy(x: np.ndarray, what: str) -> np.ndarray:
     return x / math.sqrt(energy)
 
 
+def _ccf_size(n: int) -> int:
+    """Real-FFT length at which two length-``n`` series correlate without wrap-around."""
+    return next_fast_len(2 * n - 1, real=True)
+
+
 def _envelope_crossing(r: np.ndarray, fs: float, what: str) -> float:
     """First lag at which the running-maximum envelope of ``r`` (1 at lag
     0, sampled at ``fs``) falls below 1/e."""
@@ -496,14 +497,14 @@ def decorrelation_time(template: TimeSeries) -> float:
     content do not count as decay.  Raises when the envelope never
     crosses 1/e (a constant-envelope tone never decorrelates).
     """
-    import scipy.signal
-
     x = template.samples
     n = x.size
     energy = _energy(x)
     if energy <= 0.0:
         raise DegeneracyError("zero-energy series has no decorrelation time")
-    corr = scipy.signal.correlate(x, x, mode="full", method="fft")[n - 1:]
+    size = _ccf_size(n)
+    spec = np.fft.rfft(x, size)
+    corr = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, size)[:n]
     counts = n - np.arange(n)
     r = np.abs(corr / counts * (n / energy))
     return _envelope_crossing(r, template.fs, "autocorrelation")
@@ -567,7 +568,7 @@ class _CcfPlan:
     def __init__(self, reference: TimeSeries, fs: float, lag_samples: int,
                  tau0: float | None):
         unit = _unit_energy(reference.samples, "second")
-        self.size = next_fast_len(2 * reference.n - 1, real=True)
+        self.size = _ccf_size(reference.n)
         self.ref_conj = np.conj(np.fft.rfft(unit, self.size))
         self.lag_samples = lag_samples
         self.lags = np.arange(-lag_samples, lag_samples + 1) / fs
@@ -648,14 +649,15 @@ def running_window_ccf(
 ) -> list[RunningWindowStat]:
     """Slide template-duration windows over a long series and summarize each.
 
-    Each window is correlated with the template over every lag it holds.
-    Windows start at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are
-    snapped to the sample grid; the scan stops at the first one that runs
-    past the end.  Windows intersecting an exclusion range ``(t_a, t_b)``
-    are skipped, as are zero-energy windows.  The kept windows are
-    correlated ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`,
-    the chunks spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`;
-    results are ordered by window start and do not depend on the CPU count.
+    Each window is correlated with the template over every lag it holds;
+    ``tau0`` defaults to the template's decorrelation time.  Windows start
+    at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are snapped to the
+    sample grid; the scan stops at the first one that runs past the end.
+    Windows intersecting an exclusion range ``(t_a, t_b)`` are skipped, as
+    are zero-energy windows.  The kept windows are correlated
+    ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`, the chunks
+    spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`; results
+    are ordered by window start and do not depend on the CPU count.
     """
     if not (_finite(hop) and hop > 0):
         raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
@@ -672,9 +674,6 @@ def running_window_ccf(
         spans.append((t_a, t_b))
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")
-    max_lag = (template.n - 1) / template.fs
-    if tau0 is None:
-        tau0 = decorrelation_time(template)
     fs = long_ts.fs
     duration = template.duration
     n_win = int(round(duration * fs))  # snapped as slice_window snaps
@@ -706,7 +705,7 @@ def running_window_ccf(
     lead = next((i for i, c in enumerate(chunks) if energies(c)[2].size), None)
     if lead is None:
         raise ValidationError("no usable windows: exclusions cover the whole span")
-    plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, max_lag), tau0)
+    plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, (n_win - 1) / fs), tau0)
     chunks = chunks[lead:]
     buffers = threading.local()
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -145,6 +146,23 @@ class TestScenarioCommand:
 
     def test_run_without_name_fails(self, capsys):
         assert run("scenario", "run") == 2
+
+    def test_json_list_band(self, tmp_path):
+        # JSON has no tuples; the list band must reach the cached plan as one
+        from gwxlab.scenarios import ScenarioConfig, emit_report, run_scenario
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": {"band": [43, 300]}}))
+        assert run("scenario", "run", "mf-sine-misfire", "--trials", "2", "--seed", "5",
+                   "--config", str(config), "--out", str(tmp_path / "list")) == 0
+        emit_report(run_scenario(ScenarioConfig("mf-sine-misfire", trials=2, seed_base=5,
+                                                options={"band": (43, 300)})),
+                    tmp_path / "tuple" / "mf-sine-misfire")
+        written = sorted(p.name for p in (tmp_path / "list" / "mf-sine-misfire").iterdir())
+        assert written == ["snr.csv", "summary.json", "trials.csv"]
+        for name in written:
+            assert (tmp_path / "list" / "mf-sine-misfire" / name).read_bytes() == \
+                (tmp_path / "tuple" / "mf-sine-misfire" / name).read_bytes()
 
 
 class TestExitCodes:
@@ -298,6 +316,81 @@ class TestWrongShapeJson:
         assert message in capsys.readouterr().err
 
 
+NON_FINITE_FLAGS = [
+    ("noise", "--duration"), ("noise", "--fs"), ("template", "--fs"), ("bogus", "--fs"),
+    ("bogus", "--sigma-phase"), ("inject", "--at"), ("psd", "--segment"),
+    ("whiten", "--line-window-hz"), ("whiten", "--line-threshold"), ("ccf", "--max-lag"),
+    ("ccf", "--tau0"), ("running-ccf", "--hop"), ("scenario", "--fs"),
+    ("far", "--nb"), ("far", "--t"), ("far", "--tb"),
+]
+PAIR_FLAGS = [("bandpass", "--band"), ("mf", "--band"), ("running-ccf", "--exclude")]
+_NEEDS = {  # the other arguments each subcommand requires
+    "inject": ["--host", "h.gwx", "--signal", "s.gwx", "--at", "1"],
+    "psd": ["--strain", "s.gwx"], "whiten": ["--strain", "s.gwx"],
+    "bandpass": ["--strain", "s.gwx"], "mf": ["--strain", "s.gwx", "--template", "t.gwx"],
+    "ccf": ["--a", "a.gwx", "--b", "b.gwx", "--max-lag", "0.1"],
+    "running-ccf": ["--strain", "s.gwx", "--template", "t.gwx"],
+    "scenario": ["run", "h1l1-ccf"], "far": ["--nb", "0", "--t", "1", "--tb", "2"],
+}
+
+
+class TestNonFiniteFlags:
+    """Every float flag refuses nan, inf and overflowing values when parsed,
+    before any file is read, and the error names the flag."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "x"])
+    @pytest.mark.parametrize("command, flag", NON_FINITE_FLAGS,
+                             ids=[f"{c} {f}" for c, f in NON_FINITE_FLAGS])
+    def test_number(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(command, *_NEEDS.get(command, []), f"{flag}={value}", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number, got {value!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan:300", "43:inf", "1e400:1", "43", "1:2:3"])
+    @pytest.mark.parametrize("command, flag", PAIR_FLAGS,
+                             ids=[f"{c} {f}" for c, f in PAIR_FLAGS])
+    def test_pair(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(command, *_NEEDS[command], flag, value, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected " in capsys.readouterr().err
+
+    def test_every_float_flag_is_covered(self):
+        from gwxlab.cli import _finite_float, build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {(name, action.option_strings[-1]) for name, p in sub.choices.items()
+                 for action in p._actions if action.type is _finite_float}
+        assert flags == set(NON_FINITE_FLAGS)
+
+
+class TestChi2BandCount:
+    """A band count above the in-band bins exits 2 before anything is built."""
+
+    @pytest.mark.parametrize("name", ["mf-sine-misfire", "mf-awgn-misfire", "mf-bogus"])
+    def test_scenario_option(self, tmp_path, capsys, name):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": {"chi2_bins": 10**400}}))
+        assert run("scenario", "run", name, "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        assert f"cannot build {10**400} chi-squared bands from" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_bins", [str(10**400), "20000"], ids=["400-digits", "20000"])
+    def test_mf_flag(self, tmp_path, capsys, n_bins):
+        strain = tmp_path / "s.gwx"
+        save_strain(TimeSeries(FS, 0.0, np.random.default_rng(2).standard_normal(int(4 * FS))),
+                    strain)
+        tpl = tmp_path / "t.gwx"
+        save_strain(stock_template("gw150914", FS).base, tpl)
+        assert run("mf", "--strain", str(strain), "--template", str(tpl),
+                   "--psd", "model", "--n-bins", n_bins, "--out", str(tmp_path)) == 2
+        assert f"cannot build {n_bins} chi-squared bands from 2048 in-band bins" in \
+            capsys.readouterr().err
+
+
 def readme_commands() -> list[list[str]]:
     """Each ``gwxlab`` line of README.md's ``sh`` blocks, continuations joined."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -351,32 +444,53 @@ class TestReadme:
 
 LAZY_MODULES = ("scipy.signal", "scipy.ndimage", "scipy.integrate")
 
-_MF_CHAIN = """
+_CHAIN = """
 import sys
 from gwxlab.cli import main
 
-for argv in (
-    ["noise", "--duration", "8", "--seed", "3", "--out", "run"],
-    ["template", "--kind", "gw150914", "--out", "run"],
-    ["inject", "--host", "run/noise.gwx", "--signal", "run/gw150914.gwx", "--at", "4",
-     "--out", "run"],
-    ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
-     "--psd", "model", "--mode", "circular", "--out", "run"],
-    ["scenario", "run", "mf-sine-misfire", "--trials", "2", "--seed", "3", "--out", "runs"],
-):
+for argv in {chain!r}:
     assert main(argv) == 0, argv
 print("loaded:", sorted(m for m in sys.modules if m in {modules!r}))
 """
+_SETUP = [
+    ["noise", "--duration", "8", "--seed", "3", "--out", "run"],
+    ["template", "--kind", "gw150914", "--out", "run"],
+]
+
+
+def lazy_modules_loaded(tmp_path, chain) -> str:
+    """Run ``chain`` of CLI argument lists in a fresh interpreter; the lazy
+    scipy subpackages it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _CHAIN.format(chain=_SETUP + chain, modules=LAZY_MODULES)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 class TestLazyImports:
+    """The heavy scipy subpackages load at call time only, so neither
+    detection engine's path loads them."""
+
     def test_matched_filter_chain_loads_no_scipy_signal(self, tmp_path):
-        """The matched-filter path, from noise to a Monte-Carlo run, never
-        imports the heavy scipy subpackages; they load at call time only."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _MF_CHAIN.format(modules=LAZY_MODULES)],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "loaded: []"
+        chain = [
+            ["inject", "--host", "run/noise.gwx", "--signal", "run/gw150914.gwx", "--at", "4",
+             "--out", "run"],
+            ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
+             "--psd", "model", "--mode", "circular", "--out", "run"],
+            ["scenario", "run", "mf-sine-misfire", "--trials", "2", "--seed", "3",
+             "--out", "runs"],
+        ]
+        assert lazy_modules_loaded(tmp_path, chain) == "loaded: []"
+
+    def test_ccf_chain_loads_no_scipy_signal(self, tmp_path):
+        chain = [
+            ["noise", "--duration", "1", "--seed", "1", "--name", "a.gwx", "--out", "run"],
+            ["noise", "--duration", "1", "--seed", "2", "--name", "b.gwx", "--out", "run"],
+            ["ccf", "--a", "run/a.gwx", "--b", "run/b.gwx", "--max-lag", "0.5", "--out", "run"],
+            ["running-ccf", "--strain", "run/noise.gwx", "--template", "run/gw150914.gwx",
+             "--hop", "0.05", "--out", "run"],
+        ]
+        assert lazy_modules_loaded(tmp_path, chain) == "loaded: []"

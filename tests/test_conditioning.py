@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestDetectLines:
         psd = PowerSpectrum(df=1.0, values=np.ones(64))
         with pytest.raises(ValidationError):
             detect_lines(psd, threshold_ratio=0.5)
+        with pytest.raises(ValidationError, match="threshold_ratio must exceed 1, got nan"):
+            detect_lines(psd, threshold_ratio=math.nan)
+        # the running median both line steps share checks its window
+        ts = TimeSeries(128.0, 0.0, np.ones(128))
+        band = LineBand(f_center=20.0, half_width=2.0, peak_ratio=10.0)
+        for window in (0.0, math.nan):
+            with pytest.raises(ValidationError, match="median_window_hz must be positive"):
+                detect_lines(psd, median_window_hz=window)
+            with pytest.raises(ValidationError, match="median_window_hz must be positive"):
+                whiten_localized(ts, psd, [band], median_window_hz=window)
 
 
 class TestMergeBands:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from gwxlab import (
     stock_template,
 )
 from gwxlab import detection, lanes
+from gwxlab.conditioning import butterworth_bandpass, whiten_full
 from gwxlab.simulation import PsdModel, PsdSegment
 
 FS = 4096.0
@@ -300,6 +302,19 @@ class TestReweightSnr:
             matched_filter(strain, tone, flat_psd(),
                            MfConfig(block_len=None, mode="circular", reweight_bins=16))
 
+    @pytest.mark.parametrize("mode, bins", [("circular", 4096), ("cyclic_prefix", 512)])
+    @pytest.mark.parametrize("extra", [1, 10**400], ids=["one-more", "400-digits"])
+    def test_more_bands_than_in_band_bins_is_validation(self, mode, bins, extra):
+        # checked before any band is built, so a count too large for memory
+        # (or for a float) is an input error, not a traceback; the grid is
+        # the block's (8,192 samples) or the template's (1,024)
+        strain = TimeSeries(FS, 0.0, rng_for(5).standard_normal(int(2 * FS)))
+        tpl = TimeSeries(FS, 0.0, rng_for(6).standard_normal(1024))
+        with pytest.raises(ValidationError, match=f"cannot build {bins + extra} chi-squared "
+                                                  f"bands from {bins} in-band bins"):
+            matched_filter(strain, tpl, flat_psd(),
+                           MfConfig(block_len=None, mode=mode, reweight_bins=bins + extra))
+
     def test_threshold_constant_exposed(self):
         from gwxlab import SNR_THRESHOLD
         assert SNR_THRESHOLD == 5.0
@@ -398,7 +413,7 @@ class TestPlanReuse:
         ]
 
         def uncached(strain, template, psd, cfg):
-            detection._last_plan = None
+            detection._plan_for.cache_clear()
             fresh = [TimeSeries(ts.fs, ts.t0, ts.samples.copy()) for ts in (strain, template)]
             return matched_filter(*fresh, PowerSpectrum(psd.df, psd.values.copy()), cfg)
 
@@ -409,6 +424,17 @@ class TestPlanReuse:
             np.testing.assert_array_equal(got.rho, want.rho)
             np.testing.assert_array_equal(got.rho_reweighted, want.rho_reweighted)
             np.testing.assert_array_equal(got.chi2_reduced, want.chi2_reduced)
+
+    def test_list_band_is_a_tuple(self):
+        # a JSON band arrives as a list; the plan cache needs a hashable config
+        cfg = MfConfig(block_len=None, band=[30, 400])
+        assert cfg.band == (30, 400) and hash(cfg) == hash(replace(cfg, band=(30.0, 400.0)))
+        tpl = stock_template("gw150914", FS).base
+        strain = TimeSeries(FS, 0.0, rng_for(95).standard_normal(int(2 * FS)))
+        want = matched_filter(strain, tpl, flat_psd(), replace(cfg, band=(30.0, 400.0)))
+        detection._plan_for.cache_clear()
+        got = matched_filter(strain, tpl, flat_psd(), cfg)
+        np.testing.assert_array_equal(got.rho_reweighted, want.rho_reweighted)
 
 
 def prefixed_chi2_oracle(strain, template, psd, n_bins):
@@ -450,7 +476,7 @@ class TestPlannedCyclicPrefix:
         strain = TimeSeries(FS, 0.0, rng_for(93).standard_normal(int(2 * FS)))
         strain = inject(strain, tpl.with_samples(50.0 * tpl.samples), 0.7)
         cfg = MfConfig(block_len=None, mode="cyclic_prefix", reweight_bins=4)
-        detection._last_plan = None
+        detection._plan_for.cache_clear()
         plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
         assert plan.fft_len == next_fast_len(strain.n)  # the bare strain, no prefix
         z, spectrum = plan.snr_complex(strain)
@@ -469,7 +495,7 @@ class TestPlannedCyclicPrefix:
         psd = flat_psd(2.0 / FS)
         strain = TimeSeries(FS, 0.0, rng_for(94).standard_normal(int(2 * FS) + 1))
         cfg = MfConfig(block_len=None, mode="cyclic_prefix", reweight_bins=4)
-        detection._last_plan = None
+        detection._plan_for.cache_clear()
         plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
         assert plan.fft_len > strain.n
         z, spectrum = plan.snr_complex(strain)
@@ -477,6 +503,21 @@ class TestPlannedCyclicPrefix:
         assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
         chi2 = plan.chi2_reduced(z, spectrum)
         assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
+
+
+def scipy_decorrelation_time(ts):
+    """The autocorrelation through ``scipy.signal.correlate``, the same count
+    and energy scaling and the same envelope rule."""
+    import scipy.signal
+
+    x = ts.samples
+    n = x.size
+    energy = detection._energy(x)
+    if energy <= 0.0:
+        raise DegeneracyError("zero-energy series has no decorrelation time")
+    corr = scipy.signal.correlate(x, x, mode="full", method="fft")[n - 1:]
+    r = np.abs(corr / (n - np.arange(n)) * (n / energy))
+    return detection._envelope_crossing(r, ts.fs, "autocorrelation")
 
 
 class TestDecorrelationTime:
@@ -513,6 +554,33 @@ class TestDecorrelationTime:
     def test_zero_input(self):
         with pytest.raises(DegeneracyError):
             decorrelation_time(TimeSeries(FS, 0.0, np.zeros(512)))
+
+    @pytest.mark.parametrize("kind", ["gw150914", "gw151226", "gw170104"])
+    def test_stock_templates_match_scipy_correlate(self, kind):
+        ts = stock_template(kind, FS).base
+        assert decorrelation_time(ts) == scipy_decorrelation_time(ts)
+
+    def test_whitened_noise_windows_match_scipy_correlate(self):
+        model = default_detector_model()
+        psd = model.to_power_spectrum(1.0 / 8.0, int(8 * FS) // 2 + 1)
+        for seed in range(3):
+            noise = colored_noise(model, 8.0, FS, seed=derive_seed(31, seed))
+            white = butterworth_bandpass(whiten_full(noise, psd), 43.0, 300.0)
+            for start, length in [(1.0, 0.2), (3.3, 0.2), (2.0, 1.0), (5.5, 1.0)]:
+                window = slice_window(white, start, length)
+                assert decorrelation_time(window) == scipy_decorrelation_time(window)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.integers(200, 5000).flatmap(windows), fs=st.sampled_from([1024.0, FS]))
+    def test_drawn_series_match_scipy_correlate(self, x, fs):
+        ts = TimeSeries(fs, 0.0, x)
+        try:
+            want = scipy_decorrelation_time(ts)
+        except (DegeneracyError, ValidationError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                decorrelation_time(ts)
+            return
+        assert decorrelation_time(ts) == want
 
 
 class TestNormalizedCcf:
@@ -692,6 +760,16 @@ class TestRunningWindowCcf:
         for cpus in (1, 2):
             with _with_cpus(cpus), pytest.raises(ValidationError, match="no usable windows"):
                 running_window_ccf(long_ts, tpl, hop=0.1, tau0=0.5)
+
+    def test_no_usable_windows_comes_before_a_missing_decorrelation_time(self):
+        # a tone never decorrelates, but the plan that finds this out is only
+        # built once the scan has a usable window
+        tone = TimeSeries(FS, 0.0, np.sin(2 * np.pi * 64.0 * np.arange(819) / FS))
+        long_ts = TimeSeries(FS, 0.0, rng_for(24).standard_normal(int(2 * FS)))
+        with pytest.raises(ValidationError, match="no usable windows"):
+            running_window_ccf(long_ts, tone, hop=0.5, exclusions=[(-1.0, 99.0)])
+        with pytest.raises(DegeneracyError, match="never falls below 1/e"):
+            running_window_ccf(long_ts, tone, hop=0.5)
 
     def test_ordered_by_start(self):
         tpl = stock_template("gw170104", FS)
