@@ -18,7 +18,7 @@ from .detection import (
     MfConfig,
     R3_THRESHOLD,
     SNR_THRESHOLD,
-    RunningWindowStat,
+    RunningCcf,
     SnrSeries,
     ccf_decorrelation_time,
     decorrelation_time,

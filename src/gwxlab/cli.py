@@ -210,16 +210,15 @@ def _cmd_running_ccf(args) -> int:
     long_ts = load_strain(args.strain)
     template = load_strain(args.template)
     tau0 = decorrelation_time(template)
-    stats = running_window_ccf(long_ts, template, hop=args.hop,
-                               exclusions=args.exclude, tau0=tau0)
+    scan = running_window_ccf(long_ts, template, hop=args.hop,
+                              exclusions=args.exclude, tau0=tau0)
     path = _out_path(args, "running.csv")
     _write_csv(path, ["t_start_s", "peak_abs_ccf", "r3"],
-               [np.array(column) for column in zip(*stats)])
-    peaks = [s.peak_abs_ccf for s in stats]
+               [scan.t_start, scan.peak_abs_ccf, scan.r3])
     _emit_json({
-        "n_windows": len(stats),
-        "max_peak_abs_ccf": max(peaks),
-        "median_peak_abs_ccf": float(np.median(peaks)),
+        "n_windows": len(scan),
+        "max_peak_abs_ccf": float(np.max(scan.peak_abs_ccf)),
+        "median_peak_abs_ccf": float(np.median(scan.peak_abs_ccf)),
         "tau0_template_s": tau0,
     }, _out_path(args, "running_summary.json"))
     return 0

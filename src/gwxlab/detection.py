@@ -45,15 +45,20 @@ fast length of at least 2n - 1 (so the circular correlation of the FFT
 never wraps), the lag grid and the |lag| > 3 tau0 mask, tau0 defaulting
 to the reference's decorrelation time.  That autocorrelation goes through
 the same real FFT at the same length, as |rfft|^2.  A single CCF
-uses a one-shot plan; the running-window CCF keeps one plan for the
-whole scan, gathers its windows as strided views of the long series and
-correlates them 64 rows at a time, one batched real FFT pair per chunk,
-with the energies, |CCF| peaks and R3 computed as vectors.  Batching
-changes values by round-off only, about 1e-16 on values bounded by 1.
-The chunks run on the CPUs no other lane holds (:mod:`gwxlab.lanes`):
-a scan in a one-trial run uses the idle CPU, one inside a trial that
-shares the CPUs with other trials runs inline.  Each lane owns its
-zero-padded row buffer and the chunk boundaries do not move, so the
+uses a one-shot plan.  The running-window CCF keeps one plan for the
+whole scan and works on arrays throughout: the window starts are one
+running sum and the exclusions vector masks; the windows are gathered
+from a strided view of the long series, one gather per 64-row chunk,
+and divided by their norms straight into a zero-padded row buffer; one
+batched real FFT pair per chunk writes into that lane's spectrum and
+output buffers, and the |CCF| peak and R3 are maxima over slices of the
+circular output (lags 0..m at its head, -m..-1 at its tail), taken in
+place.  Batching changes values by round-off only, about 1e-16 on
+values bounded by 1.  The scan returns columns, not one object per
+window.  The chunks run on the CPUs no other lane holds
+(:mod:`gwxlab.lanes`): a scan in a one-trial run uses the idle CPU, one
+inside a trial that shares the CPUs with other trials runs inline.  Each
+lane owns its buffers and the chunk boundaries do not move, so the
 output is byte-identical whatever the CPU count.
 """
 
@@ -77,7 +82,7 @@ __all__ = [
     "MfConfig",
     "SnrSeries",
     "CcfResult",
-    "RunningWindowStat",
+    "RunningCcf",
     "R3_THRESHOLD",
     "SNR_THRESHOLD",
     "matched_filter",
@@ -208,10 +213,23 @@ class CcfResult:
         return abs(self.peak_value)
 
 
-class RunningWindowStat(NamedTuple):
-    t_start: float
-    peak_abs_ccf: float
-    r3: float
+@dataclass(frozen=True, eq=False)
+class RunningCcf:
+    """Running-window CCF scan: the start time, |CCF| peak and R3 of each
+    kept window, as read-only columns ordered by start."""
+
+    t_start: np.ndarray
+    peak_abs_ccf: np.ndarray
+    r3: np.ndarray
+
+    def __post_init__(self):
+        for name in ("t_start", "peak_abs_ccf", "r3"):
+            column = np.asarray(getattr(self, name), dtype=np.float64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.t_start.size
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +569,6 @@ def _peak_r3(values: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, np.ndar
     return peak, np.max(mag[..., outer], axis=-1) / peak
 
 
-def _r3(lags: np.ndarray, values: np.ndarray, tau0: float) -> tuple[float, bool]:
-    r3 = float(_peak_r3(values, _outer_mask(lags, tau0))[1])
-    return r3, r3 < R3_THRESHOLD
-
-
 class _CcfPlan:
     """Reference-side state of the normalized CCF for one window length.
 
@@ -575,6 +588,8 @@ class _CcfPlan:
         if tau0 is None:
             tau0 = decorrelation_time(reference)
         self.outer = _outer_mask(self.lags, tau0)
+        # the outer lags are k0..m and -m..-k0; the lag grid is symmetric
+        self.k0 = int(np.argmax(self.outer[lag_samples:]))
         self.tau0 = float(tau0)
 
     def ccf(self, unit_rows: np.ndarray) -> np.ndarray:
@@ -584,6 +599,29 @@ class _CcfPlan:
         full = np.fft.irfft(spec, self.size)
         m = self.lag_samples
         return np.concatenate([full[..., self.size - m:], full[..., :m + 1]], axis=-1)
+
+    def peak_r3(self, rows: np.ndarray, spec: np.ndarray,
+                full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|CCF| peak and R3 of each unit-energy row of ``rows``, which is
+        zero-padded to the FFT length; the transforms write into the
+        caller's ``spec`` and ``full``, which hold as many rows.
+
+        The circular output holds lags 0..m at its head and -m..-1 at its
+        tail, so the maxima are taken over those slices in place: the outer
+        lags, then the inner ones.  Maxima are exact, so the values are
+        those of :func:`_peak_r3` on the gathered lag grid.
+        """
+        np.fft.rfft(rows, self.size, out=spec)
+        spec *= self.ref_conj
+        mag = np.abs(np.fft.irfft(spec, self.size, out=full), out=full)
+        m, k0, n = self.lag_samples, self.k0, self.size  # lag -k sits at n - k
+        outer = np.maximum(mag[:, k0:m + 1].max(axis=1), mag[:, n - m:n - k0 + 1].max(axis=1))
+        peak = np.maximum(outer, mag[:, :k0].max(axis=1))
+        if k0 > 1:
+            peak = np.maximum(peak, mag[:, n - k0 + 1:].max(axis=1))
+        if np.any(peak <= 0.0):
+            raise DegeneracyError("flat zero CCF has no peak ratio")
+        return peak, outer / peak
 
 
 def normalized_ccf(
@@ -640,27 +678,60 @@ def _finite(x) -> bool:
         return False
 
 
+def _window_starts(t0: float, hop: float, span: float, admits) -> np.ndarray:
+    """``t0``, ``t0 + hop``, ... while ``admits(t)`` holds, each point the
+    sum that a ``t += hop`` loop reaches, bit for bit: ``np.add.accumulate``
+    adds left to right.  ``admits`` holds on a prefix of the sums and
+    takes arrays; ``span`` is about where it stops holding, past ``t0``.
+    The grid is sized from it and doubled while its last point, which the
+    running sum's round-off can leave short, is still admitted.
+    """
+    count = max(int(span / hop), 0) + 2
+    while True:
+        t = np.full(count, hop)
+        t[0] = t0
+        np.add.accumulate(t, out=t)
+        if not admits(t[-1]):
+            return t[:int(np.argmin(admits(t)))]
+        if t[-1] == t[-2]:
+            raise ValidationError(
+                f"hop {hop!r} s is below the time resolution at t = {float(t[-1])!r} s"
+            )
+        count *= 2
+
+
 def running_window_ccf(
     long_ts: TimeSeries,
     template: TimeSeries,
     hop: float,
     exclusions=(),
     tau0: float | None = None,
-) -> list[RunningWindowStat]:
+) -> RunningCcf:
     """Slide template-duration windows over a long series and summarize each.
 
     Each window is correlated with the template over every lag it holds;
     ``tau0`` defaults to the template's decorrelation time.  Windows start
     at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are snapped to the
     sample grid; the scan stops at the first one that runs past the end.
-    Windows intersecting an exclusion range ``(t_a, t_b)`` are skipped, as
-    are zero-energy windows.  The kept windows are correlated
-    ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`, the chunks
-    spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`; results
-    are ordered by window start and do not depend on the CPU count.
+    ``hop`` must be at least one sample: a shorter one only repeats
+    windows.  Windows intersecting an exclusion range ``(t_a, t_b)`` are
+    skipped, as are zero-energy windows.  The start grid and its masks are
+    array operations.  The kept windows are correlated ``_CCF_CHUNK_ROWS``
+    at a time through one :class:`_CcfPlan`, the chunks spread over the
+    idle CPUs by :func:`gwxlab.lanes.run_lanes`; each lane owns its
+    zero-padded row buffer and its FFT output buffers, and reads the |CCF|
+    peak and R3 from slices of the circular output.  The result holds one
+    column per statistic, ordered by window start, and does not depend on
+    the CPU count.
     """
     if not (_finite(hop) and hop > 0):
         raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
+    fs = long_ts.fs
+    if hop < 1.0 / fs:
+        raise ValidationError(
+            f"hop must be at least one sample (1/fs = {1.0 / fs!r} s), got {hop!r}: "
+            "windows snap to the sample grid, so a shorter hop only repeats them"
+        )
     spans = []
     for pair in exclusions:
         try:
@@ -671,56 +742,66 @@ def running_window_ccf(
             raise ValidationError(
                 f"an exclusion must be a (start, end) pair of finite numbers, got {pair!r}"
             )
-        spans.append((t_a, t_b))
+        spans.append((float(t_a), float(t_b)))
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")
-    fs = long_ts.fs
     duration = template.duration
     n_win = int(round(duration * fs))  # snapped as slice_window snaps
-    starts: list[float] = []
-    first: list[int] = []
-    t = long_ts.t0
-    end = long_ts.t0 + long_ts.duration
-    while t + duration <= end + 0.5 / fs:
-        if not any(t < t_b and t + duration > t_a for (t_a, t_b) in spans):
-            i0 = int(round((t - long_ts.t0) * fs))
-            if i0 + n_win > long_ts.n:
-                break  # the last hop's window runs past the end of the series
-            starts.append(t)
-            first.append(i0)
-        t += hop
+    t0 = long_ts.t0
+    reach = t0 + long_ts.duration + 0.5 / fs
+    starts = _window_starts(t0, hop, reach - duration - t0, lambda t: t + duration <= reach)
+    usable = np.ones(starts.size, dtype=bool)
+    for t_a, t_b in spans:
+        usable &= ~((starts < t_b) & (starts + duration > t_a))
+    first = np.rint((starts - t0) * fs).astype(np.intp)  # halves to even, as round does
+    # start indices only grow, so this drops the windows from the first
+    # one that runs past the end of the series
+    usable &= first + n_win <= long_ts.n
+    kept = np.flatnonzero(usable)
+    starts, first = starts[kept], first[kept]
 
-    if first:  # else the window may be longer than the series
+    if first.size:  # else the window may be longer than the series
         view = np.lib.stride_tricks.sliding_window_view(long_ts.samples, n_win)
     rows_per = _CCF_CHUNK_ROWS
-    chunks = range(0, len(first), rows_per)
+    chunks = range(0, first.size, rows_per)
 
-    def energies(c: int):
+    def gather(c: int):
         rows = view[first[c:c + rows_per]]
-        energy = np.einsum("ij,ij->i", rows, rows)
-        return rows, energy, np.flatnonzero(energy > 0.0)
+        return rows, np.einsum("ij,ij->i", rows, rows)
 
     # the plan is built after the first chunk with a usable window, so a
     # scan with none says so first
-    lead = next((i for i, c in enumerate(chunks) if energies(c)[2].size), None)
+    lead = next((i for i, c in enumerate(chunks) if np.any(gather(c)[1] > 0.0)), None)
     if lead is None:
         raise ValidationError("no usable windows: exclusions cover the whole span")
     plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, (n_win - 1) / fs), tau0)
     chunks = chunks[lead:]
+    peak = np.empty(first.size)
+    r3 = np.empty(first.size)
+    live = np.zeros(first.size, dtype=bool)
     buffers = threading.local()
 
-    def correlate(i: int) -> list[RunningWindowStat]:
+    def correlate(i: int) -> None:
         c = chunks[i]
-        rows, energy, kept = energies(c)
-        if kept.size == 0:
-            return []
-        # one buffer per lane; rows zero-padded to the FFT length, so the FFT pads nothing
-        unit = getattr(buffers, "unit", None)
-        if unit is None:
-            unit = buffers.unit = np.zeros((rows_per, plan.size))
-        np.divide(rows[kept], np.sqrt(energy[kept])[:, None], out=unit[:kept.size, :n_win])
-        peaks, r3s = _peak_r3(plan.ccf(unit[:kept.size]), plan.outer)
-        return list(map(RunningWindowStat, [starts[c + k] for k in kept],
-                        peaks.tolist(), r3s.tolist()))
+        rows, energy = gather(c)
+        ok = energy > 0.0
+        at = slice(c, c + ok.size)
+        live[at] = ok
+        if not ok.all():  # compact the windows with energy
+            keep = np.flatnonzero(ok)
+            if keep.size == 0:
+                return
+            rows, energy, at = rows[keep], energy[keep], c + keep
+        if not hasattr(buffers, "unit"):
+            # rows zero-padded to the FFT length, so the FFT pads nothing
+            buffers.unit = np.zeros((rows_per, plan.size))
+            buffers.spec = np.empty((rows_per, plan.size // 2 + 1), dtype=np.complex128)
+            buffers.full = np.empty((rows_per, plan.size))
+        k = energy.size
+        unit = buffers.unit[:k]
+        np.divide(rows, np.sqrt(energy)[:, None], out=unit[:, :n_win])
+        peak[at], r3[at] = plan.peak_r3(unit, buffers.spec[:k], buffers.full[:k])
 
-    return [stat for stats in run_lanes(correlate, len(chunks)) for stat in stats]
+    run_lanes(correlate, len(chunks))
+    done = np.flatnonzero(live)
+    return RunningCcf(t_start=starts[done], peak_abs_ccf=peak[done], r3=r3[done])

@@ -624,21 +624,18 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
         processed = _whiten_and_band(colored_noise(model, duration, cfg.fs, seed=seed),
                                      psd, band)
         spans = [*exclusions, (0.0, edge_exclusion), (duration - edge_exclusion, duration)]
-        stats_list = running_window_ccf(processed, tpl_proc, hop=hop,
-                                        exclusions=spans, tau0=tau0)
-        peaks = np.array([s.peak_abs_ccf for s in stats_list])
-        r3s = np.array([s.r3 for s in stats_list])
+        scan = running_window_ccf(processed, tpl_proc, hop=hop, exclusions=spans, tau0=tau0)
         if k == 0:
             figures["running.csv"] = (
                 ["t_start_s", "peak_abs_ccf", "r3"],
-                _Columns(np.array([s.t_start for s in stats_list]), peaks, r3s),
+                _Columns(scan.t_start, scan.peak_abs_ccf, scan.r3),
             )
         return TrialReport(trial_index=k, seed=seed,
-                           peak_abs_ccf=float(np.max(peaks)),
-                           r3=float(np.median(r3s)),
-                           peaky=bool(np.any(r3s < R3_THRESHOLD)),
-                           extras={"n_windows": len(stats_list),
-                                   "median_peak_abs_ccf": float(np.median(peaks))})
+                           peak_abs_ccf=float(np.max(scan.peak_abs_ccf)),
+                           r3=float(np.median(scan.r3)),
+                           peaky=bool(np.any(scan.r3 < R3_THRESHOLD)),
+                           extras={"n_windows": len(scan),
+                                   "median_peak_abs_ccf": float(np.median(scan.peak_abs_ccf))})
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
     return ScenarioResult(cfg, reports, stats, figures)

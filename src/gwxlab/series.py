@@ -33,6 +33,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,6 +343,11 @@ def _read_json(path) -> dict:
         raise ParseError(
             f"{os.fspath(path)}: line {exc.lineno} column {exc.colno}: "
             f"invalid JSON: {exc.msg}"
+        ) from None
+    except ValueError:  # json's int() refuses integers this long
+        raise ParseError(
+            f"{os.fspath(path)}: invalid JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
         ) from None
     if not isinstance(data, dict):
         raise ParseError(

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# a line's reach in Gaussian widths: exp(-x**2 / 2) underflows to exactly
+# 0.0 beyond x of about 38.6
+_LINE_REACH = 40.0
+
+
 @dataclass(frozen=True)
 class PsdSegment:
     """Power law ``level * (f / f_hz)**slope`` valid from ``f_hz`` upward."""
@@ -56,8 +61,8 @@ class PsdLine:
     width_hz: float
 
     def __post_init__(self):
-        if self.f_hz <= 0 or self.ratio <= 0 or self.width_hz <= 0:
-            raise ValidationError("line needs positive f_hz, ratio, width_hz")
+        if not all(0 < v < math.inf for v in (self.f_hz, self.ratio, self.width_hz)):
+            raise ValidationError("line needs positive finite f_hz, ratio, width_hz")
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,24 @@ class PsdModel:
         return out
 
     def evaluate(self, f) -> np.ndarray:
-        """PSD values at frequencies ``f`` (Hz), lines included."""
+        """PSD values at frequencies ``f`` (Hz), lines included.
+
+        Each line is added only within ``_LINE_REACH`` widths sigma of its
+        centre: farther out its Gaussian is exactly 0.0, so the sum is the
+        one over every bin, bit for bit.
+        """
         f = np.asarray(f, dtype=np.float64)
         out = self.continuum(f)
         at_centres = self.continuum([line.f_hz for line in self.lines])
+        dist = np.empty_like(f)
         for line, level in zip(self.lines, at_centres):
             sigma = line.width_hz / 2.0
-            bump = (line.ratio - 1.0) * np.exp(-0.5 * ((f - line.f_hz) / sigma) ** 2)
-            out = out + level * bump
+            np.abs(np.subtract(f, line.f_hz, out=dist), out=dist)
+            # nan frequencies stay in, and so does every bin when the
+            # continuum overflows at the centre: inf * 0.0 is nan
+            near = ~(dist >= _LINE_REACH * sigma) | (not math.isfinite(level))
+            bump = (line.ratio - 1.0) * np.exp(-0.5 * ((f[near] - line.f_hz) / sigma) ** 2)
+            out[near] += level * bump
         return out
 
     def to_power_spectrum(self, df: float, n_bins: int) -> PowerSpectrum:

@@ -113,6 +113,14 @@ class TestBasicCommands:
         header = (tmp_path / "running.csv").read_text().splitlines()[0]
         assert header == "t_start_s,peak_abs_ccf,r3"
 
+    def test_running_ccf_hop_below_one_sample(self, tmp_path, noise_file, template_file,
+                                              capsys):
+        code = run("running-ccf", "--strain", str(noise_file),
+                   "--template", str(template_file), "--hop", "1e-12", "--out", str(tmp_path))
+        assert code == 2
+        assert "hop must be at least one sample" in capsys.readouterr().err
+        assert not (tmp_path / "running.csv").exists()
+
     def test_far(self, capsys):
         assert run("far", "--nb", "0", "--t", "1", "--tb", "1") == 0
         value = float(capsys.readouterr().out.strip())
@@ -219,6 +227,28 @@ class TestMalformedJson:
                    "--out", str(tmp_path)) == 2
         assert "line 2 column 11" in capsys.readouterr().err
 
+    def test_integer_too_long_to_convert(self, tmp_path, capsys):
+        # json's int() refuses more than sys.get_int_max_str_digits() digits
+        huge = "9" * 5000
+        limit = f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"options": {{"chi2_bins": {huge}}}}}')
+        assert run("scenario", "run", "mf-bogus", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        assert f"{config}: {limit}" in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        model.write_text(f'{{"segments": [{{"f_hz": 1.0, "level": {huge}, "slope": 0.0}}]}}')
+        assert run("noise", "--duration", "1", "--config", str(model),
+                   "--out", str(tmp_path)) == 2
+        assert f"{model}: {limit}" in capsys.readouterr().err
+        assert run("template", "--kind", "gw150914", "--fs", "1024",
+                   "--out", str(tmp_path)) == 0
+        meta = tmp_path / "gw150914.json"
+        meta.write_text(f'{{"f0_hz": {huge}}}')
+        assert run("bogus", "--template", str(tmp_path / "gw150914"),
+                   "--out", str(tmp_path)) == 2
+        assert f"{meta}: {limit}" in capsys.readouterr().err
+
     def test_bogus_template_metadata(self, tmp_path, capsys):
         assert run("template", "--kind", "gw150914", "--fs", "1024",
                    "--out", str(tmp_path)) == 0
@@ -288,8 +318,10 @@ class TestWrongShapeJson:
         ({"band": "x"}, "option 'band' must be a pair [f_lo, f_hi] of numbers, got 'x'"),
         ({"duration": 10**400}, "option 'duration' must be a finite number"),
         ({"hop": 10**400}, "option 'hop' must be a finite number"),
+        ({"hop": 1e-12}, "hop must be at least one sample (1/fs = 0.000244140625 s), "
+                         "got 1e-12"),
     ], ids=["hop", "exclusion", "duration", "exclusions", "edge_exclusion", "band",
-            "huge-duration", "huge-hop"])
+            "huge-duration", "huge-hop", "sub-sample-hop"])
     def test_running_baseline_option_values(self, tmp_path, capsys, options, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": {"duration": 8.0, **options}}))

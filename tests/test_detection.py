@@ -1,10 +1,11 @@
 import re
+import sys
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import next_fast_len
@@ -692,9 +693,9 @@ class TestNormalizedCcf:
 class TestPeakRatioR3:
     def test_flat_ccf_not_peaky(self):
         lags = np.arange(-100, 101) / FS
-        r3, peaky = detection._r3(lags, np.full(201, 0.5), tau0=1.0 / FS)
+        _, r3 = detection._peak_r3(np.full(201, 0.5), detection._outer_mask(lags, 1.0 / FS))
         assert r3 == 1.0
-        assert not peaky
+        assert not r3 < detection.R3_THRESHOLD
 
     def test_insufficient_lag_range(self):
         tpl = stock_template("gw150914", FS)
@@ -704,7 +705,8 @@ class TestPeakRatioR3:
     def test_recompute_matches_stored(self):
         tpl = stock_template("gw150914", FS)
         ccf = normalized_ccf(tpl.base, tpl.base, max_lag=0.15)
-        assert detection._r3(ccf.lags, ccf.values, ccf.tau0) == (ccf.r3, ccf.peaky)
+        r3 = float(detection._peak_r3(ccf.values, detection._outer_mask(ccf.lags, ccf.tau0))[1])
+        assert (r3, r3 < detection.R3_THRESHOLD) == (ccf.r3, ccf.peaky)
 
 
 class TestCcfDecorrelationTime:
@@ -731,10 +733,10 @@ class TestRunningWindowCcf:
     def test_tiled_template_every_window_unity(self):
         tpl = stock_template("gw150914", FS)
         tiled = TimeSeries(FS, 0.0, np.tile(tpl.base.samples, 10))
-        stats = running_window_ccf(tiled, tpl.base, hop=tpl.base.duration)
-        assert len(stats) == 10
-        for s in stats:
-            assert s.peak_abs_ccf == pytest.approx(1.0, abs=1e-9)
+        scan = running_window_ccf(tiled, tpl.base, hop=tpl.base.duration)
+        assert len(scan) == 10
+        for peak in scan.peak_abs_ccf:
+            assert peak == pytest.approx(1.0, abs=1e-9)
 
     def test_exclusions_skip_windows(self):
         tpl = stock_template("gw150914", FS)
@@ -742,7 +744,7 @@ class TestRunningWindowCcf:
         full = running_window_ccf(long_ts, tpl.base, hop=0.5)
         partial = running_window_ccf(long_ts, tpl.base, hop=0.5,
                                      exclusions=[(1.0, 2.0)])
-        starts = [s.t_start for s in partial]
+        starts = partial.t_start.tolist()
         assert all(not (1.0 - 0.2 < t < 2.0) for t in starts)
         assert len(partial) < len(full)
 
@@ -774,8 +776,7 @@ class TestRunningWindowCcf:
     def test_ordered_by_start(self):
         tpl = stock_template("gw170104", FS)
         long_ts = TimeSeries(FS, 0.0, rng_for(14).standard_normal(int(3 * FS)))
-        stats = running_window_ccf(long_ts, tpl.base, hop=0.25)
-        starts = [s.t_start for s in stats]
+        starts = running_window_ccf(long_ts, tpl.base, hop=0.25).t_start.tolist()
         assert starts == sorted(starts)
 
     def test_last_window_past_the_end_stops_the_scan(self):
@@ -784,8 +785,8 @@ class TestRunningWindowCcf:
         # slack, which snaps to 14 and would run one sample past the end
         long_ts = TimeSeries(8.0, 0.0, rng_for(15).standard_normal(20))
         tpl = TimeSeries(8.0, 0.0, rng_for(16).standard_normal(7))
-        stats = running_window_ccf(long_ts, tpl, hop=0.5625, tau0=0.2)
-        assert [s.t_start for s in stats] == [0.0, 0.5625, 1.125]
+        scan = running_window_ccf(long_ts, tpl, hop=0.5625, tau0=0.2)
+        assert scan.t_start.tolist() == [0.0, 0.5625, 1.125]
 
     def test_flat_zero_ccf_of_a_window_with_energy(self):
         # the energy of 1e200-scale samples overflows to inf, so the window
@@ -806,6 +807,54 @@ class TestRunningWindowCcf:
                                                   f"got {re.escape(repr(hop))}"):
             running_window_ccf(long_ts, tpl, hop=hop, tau0=0.2)
 
+    def test_hop_below_one_sample_is_refused(self):
+        # windows snap to the sample grid, so a shorter hop only repeats
+        # windows; such a hop used to step through the span for ever
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        for hop, exclusions in [(1e-300, [(-1.0, 99.0)]), (0.124, [])]:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"hop must be at least one sample (1/fs = 0.125 s), got {hop!r}")):
+                running_window_ccf(long_ts, tpl, hop=hop, exclusions=exclusions, tau0=0.2)
+        scan = running_window_ccf(long_ts, tpl, hop=0.125, tau0=0.2)
+        assert scan.t_start.tolist() == [k / 8.0 for k in range(33)]
+
+    def test_hop_below_the_time_resolution_is_refused(self):
+        # at t0 = 2**60 s a float steps by 256 s, so t += hop never moves
+        long_ts = TimeSeries(8.0, 2.0 ** 60, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        with pytest.raises(ValidationError, match="hop 0.125 s is below the time resolution"):
+            running_window_ccf(long_ts, tpl, hop=0.125, tau0=0.2)
+
+    def test_result_is_read_only_columns(self):
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        scan = running_window_ccf(long_ts, tpl, hop=0.5, tau0=0.2)
+        assert len(scan) == scan.t_start.size == scan.peak_abs_ccf.size == scan.r3.size == 9
+        for column in (scan.t_start, scan.peak_abs_ccf, scan.r3):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        with pytest.raises(AttributeError):
+            scan.r3 = np.zeros(9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t0=st.sampled_from([0.0, 0.37, -5.25, 3.3e7, 1126259462.4, 2.0 ** 40]),
+           hop_samples=st.floats(1.0, 8.0) | st.floats(1.0, 500.0), span=st.floats(0.0, 5.0),
+           fs=st.sampled_from([8.0, 100.0, 4096.0]))
+    # at a GPS-like t0 the running sum falls short of span / hop hops, so
+    # the first grid is too short and is doubled
+    @example(t0=1126259462.4, hop_samples=1.3, span=2.5, fs=4096.0)
+    def test_window_starts_are_the_sums_of_a_hop_loop(self, t0, hop_samples, span, fs):
+        hop = hop_samples / fs
+        reach = t0 + span
+        expected, t = [], t0
+        while t <= reach:
+            expected.append(t)
+            t += hop
+        got = detection._window_starts(t0, hop, span, lambda t: t <= reach)
+        assert got.tolist() == expected
+
     @pytest.mark.parametrize("pair", [(1.0,), (1.0, "x"), 1.0, (1.0, float("inf"))])
     def test_bad_exclusion(self, pair):
         long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
@@ -813,6 +862,11 @@ class TestRunningWindowCcf:
         with pytest.raises(ValidationError, match=re.escape(
                 f"an exclusion must be a (start, end) pair of finite numbers, got {pair!r}")):
             running_window_ccf(long_ts, tpl, hop=0.5, exclusions=[pair], tau0=0.2)
+
+
+def _columns(scan):
+    """A running-window scan as one row per window: start, |CCF| peak, R3."""
+    return np.column_stack([scan.t_start, scan.peak_abs_ccf, scan.r3])
 
 
 def _scan_oracle(long_ts, template, hop, exclusions):
@@ -868,7 +922,7 @@ class TestBatchedRunningCcf:
            cuts=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(0.0, 0.5)), max_size=3))
     def test_matches_per_window_oracle(self, case, hop_frac, tau0_frac, chunk, cuts):
         long_ts, tpl = case
-        hop = hop_frac * tpl.duration
+        hop = max(hop_frac * tpl.duration, 1.0 / long_ts.fs)  # at least one sample
         tau0 = tau0_frac * (tpl.n - 1) / tpl.fs
         span = long_ts.duration
         exclusions = [(long_ts.t0 + a * span, long_ts.t0 + (a + w) * span) for a, w in cuts]
@@ -883,11 +937,11 @@ class TestBatchedRunningCcf:
                 with _with_cpus(cpus):
                     by_cpus.append(running_window_ccf(long_ts, tpl, hop=hop,
                                                       exclusions=exclusions, tau0=tau0))
-        stats = by_cpus[0]
-        assert np.array(by_cpus[1]).tobytes() == np.array(stats).tobytes()
-        assert [s.t_start for s in stats] == [t for t, _ in kept]
+        scan = by_cpus[0]
+        assert _columns(by_cpus[1]).tobytes() == _columns(scan).tobytes()
+        assert scan.t_start.tolist() == [t for t, _ in kept]
         expected = np.array([_ccf_oracle(w, tpl.samples, tau0, tpl.fs) for _, w in kept])
-        got = np.array([(s.peak_abs_ccf, s.r3) for s in stats])
+        got = _columns(scan)[:, 1:]
         # |CCF| <= 1 sets the scale: an R3 that is exactly 0 (all outer lags
         # zero) comes out of any FFT as round-off of order 1e-16
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -898,11 +952,29 @@ class TestBatchedRunningCcf:
         long_ts, tpl = _running_case(21, 16, 200, [(0.5, 30)], 0.0)
         kept = _scan_oracle(long_ts, tpl, 0.05, [])
         with mock.patch.object(detection, "_CCF_CHUNK_ROWS", 4):
-            stats = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
+            scan = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
         assert len(kept) % 4 != 0 and len(kept) > 8
-        assert [s.t_start for s in stats] == [t for t, _ in kept]
+        assert scan.t_start.tolist() == [t for t, _ in kept]
         whole = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
-        np.testing.assert_allclose(np.array(stats), np.array(whole), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_columns(scan), _columns(whole), rtol=1e-12, atol=0.0)
+
+    def test_more_lanes_than_cores_write_their_own_rows(self):
+        # one-row chunks on eight lanes, switching threads as often as the
+        # interpreter allows: each lane writes only its own rows of the
+        # shared columns, so the scan matches the one-lane scan byte for byte
+        long_ts, tpl = _running_case(25, 16, 400, [(0.3, 40)], 0.37)
+        with mock.patch.object(detection, "_CCF_CHUNK_ROWS", 1):
+            with _with_cpus(1):
+                one = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with _with_cpus(8):
+                    many = running_window_ccf(long_ts, tpl, hop=0.05, tau0=0.05)
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(one) > 100
+        assert _columns(many).tobytes() == _columns(one).tobytes()
 
     def test_flat_zero_ccf_in_a_later_chunk_fails_as_one_lane_does(self):
         # 80 noise samples, then 1e200-scale ones whose windows normalize to

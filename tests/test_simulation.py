@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwxlab import (
     BurstSpec,
@@ -39,12 +41,64 @@ class TestDeriveSeed:
         assert len(seeds) == 1000
 
 
+def _evaluate_everywhere(model, f):
+    """PsdModel.evaluate's formula with every line summed over every bin."""
+    f = np.asarray(f, dtype=np.float64)
+    out = model.continuum(f)
+    for line, level in zip(model.lines, model.continuum([l.f_hz for l in model.lines])):
+        sigma = line.width_hz / 2.0
+        out = out + level * ((line.ratio - 1.0) * np.exp(-0.5 * ((f - line.f_hz) / sigma) ** 2))
+    return out
+
+
 class TestPsdModel:
     def test_evaluate_lines(self):
         model = default_detector_model()
         cont = model.continuum(np.array([60.0]))[0]
         val = model.evaluate(np.array([60.0]))[0]
         assert val == pytest.approx(100.0 * cont, rel=0.01)
+
+    @pytest.mark.parametrize("n_bins, df", [(16385, 0.125), (65537, 1 / 32), (131073, 1 / 64)])
+    def test_evaluate_matches_the_sum_over_every_bin(self, n_bins, df):
+        # the PSD grids the scenarios use: 0.125 Hz, and 32 s and 64 s blocks at 4096 Hz
+        model = default_detector_model()
+        f = np.arange(n_bins) * df
+        assert model.evaluate(f).tobytes() == _evaluate_everywhere(model, f).tobytes()
+
+    def test_evaluate_scalar_and_unsorted(self):
+        model = default_detector_model()
+        for f0 in (60.0, 60.1, 119.9, 497.5, 0.0, 5000.0):
+            assert np.asarray(model.evaluate(f0)).tobytes() == np.asarray(
+                _evaluate_everywhere(model, f0)).tobytes()
+        f = np.random.default_rng(3).uniform(0.0, 2048.0, 5000).reshape(50, 100)
+        assert model.evaluate(f).tobytes() == _evaluate_everywhere(model, f).tobytes()
+
+    def test_evaluate_matches_the_sum_over_every_bin_where_it_overflows(self):
+        # the continuum overflows to inf at the line centres, and inf * 0.0 is
+        # nan in every bin; nan and inf frequencies come out as they go in
+        model = PsdModel(segments=(PsdSegment(f_hz=20.0, level=1e300, slope=10.0),),
+                         lines=(PsdLine(60.0, 100.0, 0.5), PsdLine(1000.0, 1e300, 0.5)))
+        f = np.array([0.0, 59.9, 60.0, 999.9, 1000.0, 2000.0, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert model.evaluate(f).tobytes() == _evaluate_everywhere(model, f).tobytes()
+
+    @pytest.mark.parametrize("values", [(np.inf, 100.0, 0.5), (60.0, np.nan, 0.5),
+                                        (60.0, 100.0, np.inf), (60.0, 100.0, 0.0)])
+    def test_line_refuses_non_finite_parameters(self, values):
+        with pytest.raises(ValidationError, match="line needs positive finite"):
+            PsdLine(*values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(st.builds(PsdLine, st.floats(1.0, 2000.0), st.floats(1e-3, 1e4),
+                                    st.floats(1e-3, 50.0)), max_size=6),
+           slopes=st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=3),
+           df=st.floats(1e-3, 2.0))
+    def test_evaluate_matches_the_sum_over_every_bin_for_any_model(self, lines, slopes, df):
+        segments = tuple(PsdSegment(f_hz=20.0 * (k + 1), level=10.0 ** k, slope=slope)
+                         for k, slope in enumerate(slopes))
+        model = PsdModel(segments=segments, lines=tuple(lines))
+        f = np.arange(4097) * df
+        assert model.evaluate(f).tobytes() == _evaluate_everywhere(model, f).tobytes()
 
     def test_json_round_trip(self, tmp_path):
         model = default_detector_model()
