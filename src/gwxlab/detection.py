@@ -224,7 +224,8 @@ class RunningCcf:
 
     def __post_init__(self):
         for name in ("t_start", "peak_abs_ccf", "r3"):
-            column = np.asarray(getattr(self, name), dtype=np.float64)
+            # a copy, so that the caller's array stays writable
+            column = np.array(getattr(self, name), dtype=np.float64)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -602,14 +603,11 @@ class _CcfPlan:
 
     def peak_r3(self, rows: np.ndarray, spec: np.ndarray,
                 full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|CCF| peak and R3 of each unit-energy row of ``rows``, which is
-        zero-padded to the FFT length; the transforms write into the
-        caller's ``spec`` and ``full``, which hold as many rows.
-
-        The circular output holds lags 0..m at its head and -m..-1 at its
-        tail, so the maxima are taken over those slices in place: the outer
-        lags, then the inner ones.  Maxima are exact, so the values are
-        those of :func:`_peak_r3` on the gathered lag grid.
+        """|CCF| peak and R3 of each unit-energy row of ``rows`` (zero-padded
+        to the FFT length), transformed in the caller's ``spec`` and ``full``.
+        The maxima are taken in place over slices of the circular output,
+        which holds lags 0..m at its head and -m..-1 at its tail; they are
+        exact, so the values are those of :func:`_peak_r3` on the lag grid.
         """
         np.fft.rfft(rows, self.size, out=spec)
         spec *= self.ref_conj
@@ -679,12 +677,11 @@ def _finite(x) -> bool:
 
 
 def _window_starts(t0: float, hop: float, span: float, admits) -> np.ndarray:
-    """``t0``, ``t0 + hop``, ... while ``admits(t)`` holds, each point the
-    sum that a ``t += hop`` loop reaches, bit for bit: ``np.add.accumulate``
-    adds left to right.  ``admits`` holds on a prefix of the sums and
-    takes arrays; ``span`` is about where it stops holding, past ``t0``.
-    The grid is sized from it and doubled while its last point, which the
-    running sum's round-off can leave short, is still admitted.
+    """The sums ``t0``, ``t0 + hop``, ... of a ``t += hop`` loop, bit for bit
+    (``np.add.accumulate`` adds left to right), while ``admits`` holds.
+    ``admits`` takes arrays and holds on a prefix; ``span`` estimates its
+    reach past ``t0``, and the grid doubles while its last point, which
+    round-off can leave short, is still admitted.
     """
     count = max(int(span / hop), 0) + 2
     while True:
@@ -713,16 +710,13 @@ def running_window_ccf(
     ``tau0`` defaults to the template's decorrelation time.  Windows start
     at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are snapped to the
     sample grid; the scan stops at the first one that runs past the end.
-    ``hop`` must be at least one sample: a shorter one only repeats
+    ``hop`` must be at least one sample, as a shorter one only repeats
     windows.  Windows intersecting an exclusion range ``(t_a, t_b)`` are
-    skipped, as are zero-energy windows.  The start grid and its masks are
-    array operations.  The kept windows are correlated ``_CCF_CHUNK_ROWS``
-    at a time through one :class:`_CcfPlan`, the chunks spread over the
-    idle CPUs by :func:`gwxlab.lanes.run_lanes`; each lane owns its
-    zero-padded row buffer and its FFT output buffers, and reads the |CCF|
-    peak and R3 from slices of the circular output.  The result holds one
-    column per statistic, ordered by window start, and does not depend on
-    the CPU count.
+    skipped, as are zero-energy windows.  The kept windows are correlated
+    ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`, the chunks
+    spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`, each lane
+    with its own row and FFT buffers.  The columns returned are ordered by
+    window start and do not depend on the CPU count.
     """
     if not (_finite(hop) and hop > 0):
         raise ValidationError(f"hop must be a positive finite number, got {hop!r}")

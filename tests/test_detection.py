@@ -837,6 +837,9 @@ class TestRunningWindowCcf:
                 column[0] = 0.0
         with pytest.raises(AttributeError):
             scan.r3 = np.zeros(9)
+        mine = np.zeros(3)
+        detection.RunningCcf(t_start=mine, peak_abs_ccf=mine, r3=mine)
+        assert mine.flags.writeable
 
     @settings(max_examples=60, deadline=None)
     @given(t0=st.sampled_from([0.0, 0.37, -5.25, 3.3e7, 1126259462.4, 2.0 ** 40]),
