@@ -51,7 +51,7 @@ from .series import (
     save_strain,
     welch_psd,
 )
-from .simulation import PsdModel, colored_noise, default_detector_model, inject
+from .simulation import PsdModel, _eighth_hz_psd, colored_noise, default_detector_model, inject
 from .templates import BogusSpec, load_template, make_bogus, save_template, stock_template
 
 
@@ -84,10 +84,9 @@ def _pair(form: str):
 def _load_psd(arg: str, fs: float) -> PowerSpectrum:
     """PSD from 'model', 'model:<json path>', or a CSV table path."""
     if arg == "model":
-        return default_detector_model().to_power_spectrum(0.125, int(fs / 2 * 8) + 1)
+        return _eighth_hz_psd(default_detector_model(), fs)
     if arg.startswith("model:"):
-        model = PsdModel.load(arg.split(":", 1)[1])
-        return model.to_power_spectrum(0.125, int(fs / 2 * 8) + 1)
+        return _eighth_hz_psd(PsdModel.load(arg.split(":", 1)[1]), fs)
     return load_psd_csv(arg)
 
 

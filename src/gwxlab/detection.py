@@ -42,24 +42,26 @@ at zero lag, and peakiness is judged by the ratio R3 of the largest
 against the threshold 1/e.  Its reference side is planned once per
 window length: the conjugated spectrum of the unit-energy reference at a
 fast length of at least 2n - 1 (so the circular correlation of the FFT
-never wraps), the lag grid and the |lag| > 3 tau0 mask, tau0 defaulting
-to the reference's decorrelation time.  That autocorrelation goes through
-the same real FFT at the same length, as |rfft|^2.  A single CCF
-uses a one-shot plan.  The running-window CCF keeps one plan for the
-whole scan and works on arrays throughout: the window starts are one
-running sum and the exclusions vector masks; the windows are gathered
-from a strided view of the long series, one gather per 64-row chunk,
-and divided by their norms straight into a zero-padded row buffer; one
-batched real FFT pair per chunk writes into that lane's spectrum and
-output buffers, and the |CCF| peak and R3 are maxima over slices of the
-circular output (lags 0..m at its head, -m..-1 at its tail), taken in
-place.  Batching changes values by round-off only, about 1e-16 on
-values bounded by 1.  The scan returns columns, not one object per
-window.  The chunks run on the CPUs no other lane holds
-(:mod:`gwxlab.lanes`): a scan in a one-trial run uses the idle CPU, one
-inside a trial that shares the CPUs with other trials runs inline.  Each
-lane owns its buffers and the chunk boundaries do not move, so the
-output is byte-identical whatever the CPU count.
+never wraps) and the first lag k0 beyond 3 tau0, tau0 defaulting to the
+reference's decorrelation time.  That autocorrelation goes through the
+same real FFT at the same length, as |rfft|^2.  One kernel serves every
+CCF: a real FFT pair gives the circular CCF of each row, lags 0..m at
+its head and -m..-1 at its tail, and the |CCF| peak and R3 are maxima
+over slices of its magnitude.  A single CCF uses a one-shot plan and
+reads its signed lag grid from the same two slices.  The running-window
+CCF keeps one plan for the whole scan and works on arrays throughout:
+the window starts are one running sum and the exclusions vector masks;
+the windows are gathered from a strided view of the long series, one
+gather per 64-row chunk, and divided by their norms straight into a
+zero-padded row buffer; the chunk's FFT pair writes into that lane's
+spectrum and output buffers, and the magnitude is taken in place.
+Batching changes values by round-off only, about 1e-16 on values
+bounded by 1.  The scan returns columns, not one object per window.
+The chunks run on the CPUs no other lane holds (:mod:`gwxlab.lanes`): a
+scan in a one-trial run uses the idle CPU, one inside a trial that
+shares the CPUs with other trials runs inline.  Each lane owns its
+buffers and the chunk boundaries do not move, so the output is
+byte-identical whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
 from .lanes import run_lanes
-from .series import PowerSpectrum, TimeSeries
+from .series import PowerSpectrum, TimeSeries, _readonly_f64
 
 __all__ = [
     "MfConfig",
@@ -152,16 +154,16 @@ class SnrSeries:
     chi2_reduced: np.ndarray | None = None
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        rho_rw = np.asarray(self.rho_reweighted, dtype=np.float64)
+        rho = _readonly_f64(self.rho, "rho")
+        # one copy for both when nothing reweights, so writers format it once
+        rho_rw = (rho if self.rho_reweighted is self.rho
+                  else _readonly_f64(self.rho_reweighted, "rho_reweighted"))
         if rho.shape != rho_rw.shape:
             raise ValidationError("rho and rho_reweighted must share a shape")
         if np.any(rho < 0):
             raise ValidationError("rho must be nonnegative")
         if not self.sigma > 0:
             raise ValidationError("sigma must be positive")
-        rho.setflags(write=False)
-        rho_rw.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "rho_reweighted", rho_rw)
 
@@ -186,12 +188,10 @@ class CcfResult:
     window_T: float
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        lags = _readonly_f64(self.lags, "lags")
+        values = _readonly_f64(self.values, "values")
         if lags.shape != values.shape:
             raise ValidationError("lags and values must share a shape")
-        lags.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
@@ -224,10 +224,7 @@ class RunningCcf:
 
     def __post_init__(self):
         for name in ("t_start", "peak_abs_ccf", "r3"):
-            # a copy, so that the caller's array stays writable
-            column = np.array(getattr(self, name), dtype=np.float64)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _readonly_f64(getattr(self, name), name))
 
     def __len__(self) -> int:
         return self.t_start.size
@@ -548,26 +545,18 @@ def _lag_samples(fs: float, n: int, reference: TimeSeries, max_lag: float) -> in
     return lag_samples
 
 
-def _outer_mask(lags: np.ndarray, tau0: float) -> np.ndarray:
-    """The lags beyond three decorrelation times, which must exist."""
+def _outer_start(lag_samples: int, fs: float, tau0: float) -> int:
+    """The first lag, in samples, beyond three decorrelation times; the lag
+    grid up to ``lag_samples`` must reach past it."""
     if not tau0 > 0:
         raise ValidationError(f"tau0 must be positive, got {tau0}")
-    max_lag = float(lags[-1])
+    max_lag = lag_samples / fs
     if 3.0 * tau0 >= max_lag:
         raise ValidationError(
             f"lag range {max_lag} s too short for R3 at tau0={tau0} s "
             f"(needs 3*tau0 < max_lag)"
         )
-    return np.abs(lags) > 3.0 * tau0
-
-
-def _peak_r3(values: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|CCF| peak and R3 of each CCF along the last axis."""
-    mag = np.abs(values)
-    peak = np.max(mag, axis=-1)
-    if np.any(peak <= 0.0):
-        raise DegeneracyError("flat zero CCF has no peak ratio")
-    return peak, np.max(mag[..., outer], axis=-1) / peak
+    return int(np.argmax(np.arange(lag_samples + 1) / fs > 3.0 * tau0))
 
 
 class _CcfPlan:
@@ -575,8 +564,9 @@ class _CcfPlan:
 
     The conjugated spectrum of the unit-energy reference at a fast length
     of at least 2n - 1, so the circular correlation never wraps; the lag
-    grid; and the |lag| > 3 tau0 mask that R3 reads.  ``tau0`` defaults
-    to the decorrelation time of the reference.
+    range m; and the first lag k0 beyond three decorrelation times, which
+    R3 reads.  ``tau0`` defaults to the decorrelation time of the
+    reference.
     """
 
     def __init__(self, reference: TimeSeries, fs: float, lag_samples: int,
@@ -585,38 +575,30 @@ class _CcfPlan:
         self.size = _ccf_size(reference.n)
         self.ref_conj = np.conj(np.fft.rfft(unit, self.size))
         self.lag_samples = lag_samples
-        self.lags = np.arange(-lag_samples, lag_samples + 1) / fs
         if tau0 is None:
             tau0 = decorrelation_time(reference)
-        self.outer = _outer_mask(self.lags, tau0)
-        # the outer lags are k0..m and -m..-k0; the lag grid is symmetric
-        self.k0 = int(np.argmax(self.outer[lag_samples:]))
+        self.k0 = _outer_start(lag_samples, fs, tau0)
         self.tau0 = float(tau0)
 
-    def ccf(self, unit_rows: np.ndarray) -> np.ndarray:
-        """CCF over the lag grid of each unit-energy row (last axis)."""
-        spec = np.fft.rfft(unit_rows, self.size)
+    def correlate(self, rows: np.ndarray, spec: np.ndarray | None = None,
+                  full: np.ndarray | None = None) -> np.ndarray:
+        """Circular CCF of each unit-energy row (last axis) with the
+        reference: lags 0..m at its head, -m..-1 at its tail.  The spectrum
+        and the output go into the caller's ``spec`` and ``full`` if given."""
+        spec = np.fft.rfft(rows, self.size, out=spec)
         spec *= self.ref_conj
-        full = np.fft.irfft(spec, self.size)
-        m = self.lag_samples
-        return np.concatenate([full[..., self.size - m:], full[..., :m + 1]], axis=-1)
+        return np.fft.irfft(spec, self.size, out=full)
 
-    def peak_r3(self, rows: np.ndarray, spec: np.ndarray,
-                full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|CCF| peak and R3 of each unit-energy row of ``rows`` (zero-padded
-        to the FFT length), transformed in the caller's ``spec`` and ``full``.
-        The maxima are taken in place over slices of the circular output,
-        which holds lags 0..m at its head and -m..-1 at its tail; they are
-        exact, so the values are those of :func:`_peak_r3` on the lag grid.
-        """
-        np.fft.rfft(rows, self.size, out=spec)
-        spec *= self.ref_conj
-        mag = np.abs(np.fft.irfft(spec, self.size, out=full), out=full)
+    def peak_r3(self, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|CCF| peak and R3 of each circular |CCF| ``mag`` (last axis): the
+        maxima over its head and tail slices, which hold lags 0..m and
+        -m..-1; the outer lags are k0..m and -m..-k0."""
         m, k0, n = self.lag_samples, self.k0, self.size  # lag -k sits at n - k
-        outer = np.maximum(mag[:, k0:m + 1].max(axis=1), mag[:, n - m:n - k0 + 1].max(axis=1))
-        peak = np.maximum(outer, mag[:, :k0].max(axis=1))
+        outer = np.maximum(mag[..., k0:m + 1].max(axis=-1),
+                           mag[..., n - m:n - k0 + 1].max(axis=-1))
+        peak = np.maximum(outer, mag[..., :k0].max(axis=-1))
         if k0 > 1:
-            peak = np.maximum(peak, mag[:, n - k0 + 1:].max(axis=1))
+            peak = np.maximum(peak, mag[..., n - k0 + 1:].max(axis=-1))
         if np.any(peak <= 0.0):
             raise DegeneracyError("flat zero CCF has no peak ratio")
         return peak, outer / peak
@@ -639,13 +621,14 @@ def normalized_ccf(
     ``tau0`` defaults to the decorrelation time of ``b`` (the reference
     side); R3 and the peakiness verdict derive from it.
     """
-    lag_samples = _lag_samples(a.fs, a.n, b, max_lag)
+    m = _lag_samples(a.fs, a.n, b, max_lag)
     na = _unit_energy(a.samples, "first")
-    plan = _CcfPlan(b, a.fs, lag_samples, tau0)
-    values = plan.ccf(na)
-    r3 = float(_peak_r3(values, plan.outer)[1])
-    return CcfResult(lags=plan.lags, values=values, tau0=plan.tau0, r3=r3,
-                     peaky=r3 < R3_THRESHOLD, window_T=a.n / a.fs)
+    plan = _CcfPlan(b, a.fs, m, tau0)
+    full = plan.correlate(na)
+    r3 = float(plan.peak_r3(np.abs(full))[1])
+    return CcfResult(lags=np.arange(-m, m + 1) / a.fs,
+                     values=np.concatenate([full[plan.size - m:], full[:m + 1]]),
+                     tau0=plan.tau0, r3=r3, peaky=r3 < R3_THRESHOLD, window_T=a.n / a.fs)
 
 
 def ccf_decorrelation_time(ccf: CcfResult) -> float:
@@ -697,6 +680,17 @@ def _window_starts(t0: float, hop: float, span: float, admits) -> np.ndarray:
         count *= 2
 
 
+def _check_hop(hop, fs: float) -> None:
+    """Refuse a scan hop that is not a finite number of at least one sample."""
+    if not (_finite(hop) and hop > 0):
+        raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
+    if hop < 1.0 / fs:
+        raise ValidationError(
+            f"hop must be at least one sample (1/fs = {1.0 / fs!r} s), got {hop!r}: "
+            "windows snap to the sample grid, so a shorter hop only repeats them"
+        )
+
+
 def running_window_ccf(
     long_ts: TimeSeries,
     template: TimeSeries,
@@ -718,14 +712,8 @@ def running_window_ccf(
     with its own row and FFT buffers.  The columns returned are ordered by
     window start and do not depend on the CPU count.
     """
-    if not (_finite(hop) and hop > 0):
-        raise ValidationError(f"hop must be a positive finite number, got {hop!r}")
     fs = long_ts.fs
-    if hop < 1.0 / fs:
-        raise ValidationError(
-            f"hop must be at least one sample (1/fs = {1.0 / fs!r} s), got {hop!r}: "
-            "windows snap to the sample grid, so a shorter hop only repeats them"
-        )
+    _check_hop(hop, fs)
     spans = []
     for pair in exclusions:
         try:
@@ -794,7 +782,8 @@ def running_window_ccf(
         k = energy.size
         unit = buffers.unit[:k]
         np.divide(rows, np.sqrt(energy)[:, None], out=unit[:, :n_win])
-        peak[at], r3[at] = plan.peak_r3(unit, buffers.spec[:k], buffers.full[:k])
+        full = plan.correlate(unit, buffers.spec[:k], buffers.full[:k])
+        peak[at], r3[at] = plan.peak_r3(np.abs(full, out=full))
 
     run_lanes(correlate, len(chunks))
     done = np.flatnonzero(live)

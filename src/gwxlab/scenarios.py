@@ -24,6 +24,7 @@ from .detection import (
     MfConfig,
     R3_THRESHOLD,
     SNR_THRESHOLD,
+    _check_hop,
     _finite,
     ccf_decorrelation_time,
     decorrelation_time,
@@ -41,6 +42,7 @@ from .simulation import (
     BurstSpec,
     PsdLine,
     PsdModel,
+    _eighth_hz_psd,
     awgn_burst,
     colored_noise,
     default_detector_model,
@@ -511,7 +513,7 @@ def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150
     span = long_window + 1.0
     event = tpl.base.duration
     t_inj = span / 2.0
-    psd = model.to_power_spectrum(0.125, 16385)
+    psd = _eighth_hz_psd(model, cfg.fs)
     host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
     processed_tpl_full = _whiten_and_band(inject(host, tpl.base, t_inj), psd, band)
     short_ref = slice_window(processed_tpl_full, t_inj, event)
@@ -611,9 +613,10 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
                                exclusions: list[tuple[float, float]] = ()) -> ScenarioResult:
     """Running-window CCF noise baseline over a long stretch of synthetic
     detector noise, excluding the block edges."""
+    _check_hop(hop, cfg.fs)
     tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    psd = model.to_power_spectrum(0.125, 16385)
+    psd = _eighth_hz_psd(model, cfg.fs)
     tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
     tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band)
     tau0 = decorrelation_time(tpl_padded)

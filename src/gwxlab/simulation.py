@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import PowerSpectrum, TimeSeries, _json_text, _read_json, _write_json
+from .series import PowerSpectrum, TimeSeries, _read_json
 
 __all__ = [
     "PsdSegment",
@@ -46,10 +46,9 @@ class PsdSegment:
     slope: float
 
     def __post_init__(self):
-        if self.f_hz <= 0:
-            raise ValidationError(f"segment start frequency must be > 0, got {self.f_hz}")
-        if self.level <= 0:
-            raise ValidationError(f"segment level must be > 0, got {self.level}")
+        if not (0 < self.f_hz < math.inf and 0 < self.level < math.inf
+                and -math.inf < self.slope < math.inf):
+            raise ValidationError("segment needs positive finite f_hz and level, finite slope")
 
 
 @dataclass(frozen=True)
@@ -128,19 +127,6 @@ class PsdModel:
     def to_power_spectrum(self, df: float, n_bins: int) -> PowerSpectrum:
         return PowerSpectrum(df=df, values=self.evaluate(np.arange(n_bins) * df))
 
-    def to_dict(self) -> dict:
-        return {
-            "segments": [
-                {"f_hz": s.f_hz, "level": s.level, "slope": s.slope}
-                for s in self.segments
-            ],
-            "lines": [
-                {"f_hz": l.f_hz, "ratio": l.ratio, "width_hz": l.width_hz}
-                for l in self.lines
-            ],
-            "f_floor_hz": self.f_floor_hz,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "PsdModel":
         try:
@@ -153,9 +139,6 @@ class PsdModel:
             raise ValidationError(f"bad PSD model config: missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad PSD model config: {exc}") from exc
-
-    def save(self, path: str | os.PathLike) -> None:
-        _write_json(path, _json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PsdModel":
@@ -189,6 +172,11 @@ def default_detector_model() -> PsdModel:
         ),
         f_floor_hz=1.0,
     )
+
+
+def _eighth_hz_psd(model: PsdModel, fs: float) -> PowerSpectrum:
+    """``model`` on the 1/8 Hz grid from 0 Hz to ``fs / 2``."""
+    return model.to_power_spectrum(0.125, int(fs / 2 * 8) + 1)
 
 
 _last_scale: tuple | None = None

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwxlab import TimeSeries, load_strain, save_strain, stock_template
+from gwxlab import TimeSeries, load_strain, save_strain, scenarios, stock_template
 from gwxlab.cli import main
 
 FS = 1024.0
@@ -301,7 +301,9 @@ class TestWrongShapeJson:
         ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": "x"}',
          "bad PSD model config: could not convert string to float: 'x'"),
         ('{"lines": []}', "bad PSD model config: missing 'segments'"),
-    ], ids=["floor", "no-segments"])
+        ('{"segments": [{"f_hz": 1.0, "level": Infinity, "slope": 0.0}]}',
+         "segment needs positive finite f_hz and level, finite slope"),
+    ], ids=["floor", "no-segments", "non-finite-level"])
     def test_psd_model_errors_name_the_file(self, tmp_path, capsys, text, message):
         config = tmp_path / "model.json"
         config.write_text(text)
@@ -328,6 +330,20 @@ class TestWrongShapeJson:
         assert run("scenario", "run", "running-baseline", "--trials", "1",
                    "--config", str(config), "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+    def test_running_baseline_refuses_a_sub_sample_hop_before_any_work(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise synthesized before the hop was checked")
+
+        monkeypatch.setattr(scenarios, "colored_noise", no_noise)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": {"hop": 1e-12}}))
+        assert run("scenario", "run", "running-baseline", "--trials", "1",
+                   "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hop must be at least one sample")
+        assert "trial 0" not in err
 
     @pytest.mark.parametrize("name, options, message", [
         ("mf-sine-misfire", {"block_len": 0}, "option 'block_len' must be a positive finite "

@@ -690,10 +690,64 @@ class TestNormalizedCcf:
         assert wins >= int(0.9 * trials)
 
 
+class TestResultRecords:
+    def test_caller_arrays_stay_writable(self):
+        rho, other, lags, values = np.ones(4), np.ones(4), np.arange(4.0), np.zeros(4)
+        plain = detection.SnrSeries(fs=1.0, t0=0.0, rho=rho, rho_reweighted=rho,
+                                    sigma=1.0, mode="circular")
+        reweighted = detection.SnrSeries(fs=1.0, t0=0.0, rho=rho, rho_reweighted=other,
+                                         sigma=1.0, mode="circular")
+        ccf = detection.CcfResult(lags=lags, values=values, tau0=0.1, r3=0.5, peaky=False,
+                                  window_T=1.0)
+        for mine in (rho, other, lags, values):
+            assert mine.flags.writeable
+            mine[0] = 7.0
+        assert plain.rho[0] == reweighted.rho_reweighted[0] == 1.0
+        assert ccf.lags[0] == ccf.values[0] == 0.0
+        # no reweighting: one frozen copy serves both fields
+        assert plain.rho_reweighted is plain.rho
+        assert reweighted.rho_reweighted is not reweighted.rho
+        for frozen in (plain.rho, reweighted.rho_reweighted, ccf.lags, ccf.values):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0.0
+
+
+def _peak_r3_oracle(values, lags, tau0):
+    """|CCF| peak and R3 over the signed lag grid through a boolean mask
+    of the lags beyond 3 tau0, the reduction the slice maxima replaced."""
+    mag = np.abs(values)
+    peak = np.max(mag, axis=-1)
+    if np.any(peak <= 0.0):
+        raise DegeneracyError("flat zero CCF has no peak ratio")
+    return peak, np.max(mag[..., np.abs(lags) > 3.0 * tau0], axis=-1) / peak
+
+
+@st.composite
+def short_lag_cases(draw):
+    """A pair of n-sample windows, a lag range m < n - 1 and a tau0 whose
+    first lag beyond 3 tau0, k0, is 1, is m, or follows the lag 3 tau0 hits
+    exactly (fs is a power of two, so i / fs and 3 i / fs are exact)."""
+    n = draw(st.integers(4, 160))
+    m = draw(st.integers(2, n - 2))
+    fs = draw(st.sampled_from([8.0, 64.0, 4096.0]))
+    u = draw(st.floats(0.01, 0.99))
+    kind = draw(st.sampled_from(["first", "last", "on-a-lag"][:3 if m >= 4 else 2]))
+    if kind == "first":
+        tau0, k0 = u / (3.0 * fs), 1
+    elif kind == "last":
+        tau0, k0 = (m - 1 + u) / (3.0 * fs), m
+    else:
+        i = draw(st.integers(1, (m - 1) // 3))
+        tau0, k0 = i / fs, 3 * i + 1
+    a, b = (TimeSeries(fs, 0.0, draw(windows(n))) for _ in range(2))
+    return a, b, m, tau0, k0
+
+
 class TestPeakRatioR3:
     def test_flat_ccf_not_peaky(self):
-        lags = np.arange(-100, 101) / FS
-        _, r3 = detection._peak_r3(np.full(201, 0.5), detection._outer_mask(lags, 1.0 / FS))
+        reference = TimeSeries(FS, 0.0, rng_for(4).standard_normal(101))
+        plan = detection._CcfPlan(reference, FS, 100, tau0=1.0 / FS)
+        _, r3 = plan.peak_r3(np.full(plan.size, 0.5))
         assert r3 == 1.0
         assert not r3 < detection.R3_THRESHOLD
 
@@ -705,8 +759,23 @@ class TestPeakRatioR3:
     def test_recompute_matches_stored(self):
         tpl = stock_template("gw150914", FS)
         ccf = normalized_ccf(tpl.base, tpl.base, max_lag=0.15)
-        r3 = float(detection._peak_r3(ccf.values, detection._outer_mask(ccf.lags, ccf.tau0))[1])
+        r3 = float(_peak_r3_oracle(ccf.values, ccf.lags, ccf.tau0)[1])
         assert (r3, r3 < detection.R3_THRESHOLD) == (ccf.r3, ccf.peaky)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=short_lag_cases())
+    def test_slices_match_the_mask_oracle(self, case):
+        a, b, m, tau0, k0 = case
+        assert detection._outer_start(m, a.fs, tau0) == k0
+        ccf = normalized_ccf(a, b, max_lag=m / a.fs, tau0=tau0)
+        assert ccf.lags.size == 2 * m + 1 and ccf.lags[m] == 0.0
+        peak, r3 = _peak_r3_oracle(ccf.values, ccf.lags, tau0)
+        assert (ccf.peak_abs, ccf.r3) == (peak, r3)
+        # a chunk of rows reduces row by row as one row does
+        plan = detection._CcfPlan(b, a.fs, m, tau0)
+        mag = np.abs(plan.correlate(np.stack([a.samples, b.samples, -a.samples])))
+        rows = np.array([plan.peak_r3(row) for row in mag])
+        assert np.array_equal(np.column_stack(plan.peak_r3(mag)), rows)
 
 
 class TestCcfDecorrelationTime:

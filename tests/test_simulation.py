@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,8 +106,9 @@ class TestPsdModel:
     def test_json_round_trip(self, tmp_path):
         model = default_detector_model()
         path = tmp_path / "psd_model.json"
-        model.save(path)
+        path.write_text(json.dumps(dataclasses.asdict(model)))
         back = PsdModel.load(path)
+        assert back == model
         f = np.linspace(1.0, 2000.0, 500)
         np.testing.assert_allclose(back.evaluate(f), model.evaluate(f), rtol=1e-12)
 
@@ -112,10 +116,13 @@ class TestPsdModel:
         with pytest.raises(ValidationError):
             PsdModel.from_dict({"lines": []})
 
-    def test_save_refuses_non_finite_level(self, tmp_path):
-        model = PsdModel(segments=(PsdSegment(f_hz=1.0, level=np.inf, slope=0.0),))
-        with pytest.raises(ValidationError, match="segments\\[0\\].level"):
-            model.save(tmp_path / "m.json")
+    def test_segment_refuses_non_finite_values(self):
+        for values in [(np.inf, 1.0, 0.0), (np.nan, 1.0, 0.0), (0.0, 1.0, 0.0),
+                       (1.0, np.inf, 0.0), (1.0, np.nan, 0.0), (1.0, -1.0, 0.0),
+                       (1.0, 1.0, np.inf), (1.0, 1.0, -np.inf), (1.0, 1.0, np.nan)]:
+            with pytest.raises(ValidationError, match="segment needs positive finite f_hz "
+                                                      "and level, finite slope"):
+                PsdSegment(*values)
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -159,7 +166,8 @@ class TestColoredNoise:
 
         def uncached(model, duration, fs, seed):
             simulation._last_scale = None
-            return colored_noise(PsdModel.from_dict(model.to_dict()), duration, fs, seed=seed)
+            fresh = PsdModel.from_dict(dataclasses.asdict(model))
+            return colored_noise(fresh, duration, fs, seed=seed)
 
         expected = [uncached(*call, seed=k) for k, call in enumerate(calls)]
         for k, ((model, duration, fs), want) in enumerate(zip(calls, expected)):
