@@ -124,6 +124,13 @@ class TestPsdModel:
                                                       "and level, finite slope"):
                 PsdSegment(*values)
 
+    def test_eighth_hz_grid_reaches_nyquist(self):
+        # the grid of the CLI's model PSDs and of window-compare and
+        # running-baseline, which whiten up to fs / 2
+        for fs in (2048.0, 4096.0, 8192.0):
+            psd = simulation._eighth_hz_psd(default_detector_model(), fs)
+            assert psd.df == 0.125 and psd.frequencies()[-1] == fs / 2
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"segments": [')
