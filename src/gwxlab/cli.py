@@ -21,7 +21,6 @@ from .conditioning import butterworth_bandpass, detect_lines, whiten_full, white
 from .detection import (
     SNR_THRESHOLD,
     MfConfig,
-    _finite,
     decorrelation_time,
     matched_filter,
     normalized_ccf,
@@ -41,6 +40,7 @@ from .scenarios import (
 )
 from .series import (
     PowerSpectrum,
+    _finite,
     _json_text,
     _read_json,
     _write_csv,

@@ -61,24 +61,23 @@ The chunks run on the CPUs no other lane holds (:mod:`gwxlab.lanes`): a
 scan in a one-trial run uses the idle CPU, one inside a trial that
 shares the CPUs with other trials runs inline.  Each lane owns its
 buffers and the chunk boundaries do not move, so the output is
-byte-identical whatever the CPU count.
+byte-identical whatever the CPU count.  Fast FFT lengths follow scipy's
+``next_fast_len`` rule, memoized in ``_next_fast_len`` without scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import DegeneracyError, ValidationError
 from .lanes import run_lanes
-from .series import PowerSpectrum, TimeSeries, _readonly_f64
+from .series import PowerSpectrum, TimeSeries, _finite, _readonly_f64
 
 __all__ = [
     "MfConfig",
@@ -155,7 +154,7 @@ class SnrSeries:
 
     def __post_init__(self):
         rho = _readonly_f64(self.rho, "rho")
-        # one copy for both when nothing reweights, so writers format it once
+        # one array for both when nothing reweights, so writers format it once
         rho_rw = (rho if self.rho_reweighted is self.rho
                   else _readonly_f64(self.rho_reweighted, "rho_reweighted"))
         if rho.shape != rho_rw.shape:
@@ -228,6 +227,22 @@ class RunningCcf:
 
     def __len__(self) -> int:
         return self.t_start.size
+
+
+@functools.cache
+def _next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest length >= ``target`` whose prime factors are all <= 11, or
+    <= 5 when ``real``; a target of at most 6 is its own answer."""
+    if target <= 6:
+        return target
+    best = 1 << (target - 1).bit_length()
+    odd = [1]  # the odd smooth numbers below best
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        for p in list(odd):
+            while (p := p * prime) < best:
+                odd.append(p)
+    # each odd number times the smallest power of two that reaches target
+    return min(p << (-(-target // p) - 1).bit_length() for p in odd)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +329,7 @@ class _MfPlan:
             self.out_len = n
         else:
             self.out_len = n - nt + 1
-            self.fft_len = next_fast_len(n)
+            self.fft_len = _next_fast_len(n)
             self.kernel_spec = self._kernel_spectrum(self.mask)
 
         if cfg.reweight_bins is not None:
@@ -342,7 +357,7 @@ class _MfPlan:
                     inside = self.sel[(self.sel >= lo) & (self.sel < hi)]
                     if inside.size:
                         w = int(inside[-1] - inside[0]) + 1
-                        self.band_spans.append((int(inside[0]), w, next_fast_len(2 * w - 1)))
+                        self.band_spans.append((int(inside[0]), w, _next_fast_len(2 * w - 1)))
 
     def _kernel_spectrum(self, mask: np.ndarray) -> np.ndarray:
         """Conjugate length-``fft_len`` spectrum of the whitened-template
@@ -463,6 +478,8 @@ def matched_filter(
         rho_rw = rho * _reweight_factor(chi2_r)
     else:
         rho_rw = rho
+    rho.setflags(write=False)  # frozen, so the record adopts both, not copies
+    rho_rw.setflags(write=False)
     return SnrSeries(
         fs=strain.fs, t0=strain.t0, rho=rho, rho_reweighted=rho_rw,
         sigma=sigma, mode=cfg.mode, chi2_reduced=chi2_r,
@@ -488,7 +505,7 @@ def _unit_energy(x: np.ndarray, what: str) -> np.ndarray:
 
 def _ccf_size(n: int) -> int:
     """Real-FFT length at which two length-``n`` series correlate without wrap-around."""
-    return next_fast_len(2 * n - 1, real=True)
+    return _next_fast_len(2 * n - 1, real=True)
 
 
 def _envelope_crossing(r: np.ndarray, fs: float, what: str) -> float:
@@ -649,14 +666,6 @@ def ccf_decorrelation_time(ccf: CcfResult) -> float:
     folded[:left.size] = left
     folded[:right.size] = np.maximum(folded[:right.size], right)
     return _envelope_crossing(folded / peak, fs, "CCF")
-
-
-def _finite(x) -> bool:
-    """True for a finite real number that is not a bool."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _window_starts(t0: float, hop: float, span: float, admits) -> np.ndarray:

@@ -25,7 +25,6 @@ from .detection import (
     R3_THRESHOLD,
     SNR_THRESHOLD,
     _check_hop,
-    _finite,
     ccf_decorrelation_time,
     decorrelation_time,
     matched_filter,
@@ -36,7 +35,7 @@ from .detection import (
 from .errors import GwxError, ValidationError
 from .lanes import run_lanes
 from .rng import derive_seed, rng_for
-from .series import (PowerSpectrum, TimeSeries, _json_text, _write_csv, _write_json,
+from .series import (PowerSpectrum, TimeSeries, _finite, _json_text, _write_csv, _write_json,
                      load_strain, slice_window)
 from .simulation import (
     BurstSpec,

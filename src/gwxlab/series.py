@@ -32,6 +32,7 @@ import csv as _csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -61,12 +62,22 @@ _WRITE_BLOCK_ROWS = 8192
 
 
 def _readonly_f64(values, name: str) -> np.ndarray:
+    """A read-only 1-D float64 array owning its data is adopted, anything else copied."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
+
+
+def _finite(x) -> bool:
+    """True for a finite real number that is not a bool."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True, eq=False)

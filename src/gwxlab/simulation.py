@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import PowerSpectrum, TimeSeries, _read_json
+from .series import PowerSpectrum, TimeSeries, _finite, _read_json
 
 __all__ = [
     "PsdSegment",
@@ -37,6 +37,14 @@ __all__ = [
 _LINE_REACH = 40.0
 
 
+def _check_fields(obj, rule: str, positive: tuple[str, ...], finite: tuple[str, ...] = ()):
+    """Raise ``rule`` naming the first field not finite, or not positive if it must be."""
+    for name in positive + finite:
+        v = getattr(obj, name)
+        if not (_finite(v) and (v > 0 or name in finite)):
+            raise ValidationError(f"{rule}; got {name}={v!r}")
+
+
 @dataclass(frozen=True)
 class PsdSegment:
     """Power law ``level * (f / f_hz)**slope`` valid from ``f_hz`` upward."""
@@ -46,9 +54,8 @@ class PsdSegment:
     slope: float
 
     def __post_init__(self):
-        if not (0 < self.f_hz < math.inf and 0 < self.level < math.inf
-                and -math.inf < self.slope < math.inf):
-            raise ValidationError("segment needs positive finite f_hz and level, finite slope")
+        _check_fields(self, "segment needs positive finite f_hz and level, finite slope",
+                      positive=("f_hz", "level"), finite=("slope",))
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,8 @@ class PsdLine:
     width_hz: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.f_hz, self.ratio, self.width_hz)):
-            raise ValidationError("line needs positive finite f_hz, ratio, width_hz")
+        _check_fields(self, "line needs positive finite f_hz, ratio, width_hz",
+                      positive=("f_hz", "ratio", "width_hz"))
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ class PsdModel:
             )
         except KeyError as exc:
             raise ValidationError(f"bad PSD model config: missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad PSD model config: {exc}") from exc
 
     @classmethod

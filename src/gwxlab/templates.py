@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
@@ -125,10 +124,10 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     """``x + i H[x]``: the spectrum with doubled positive and zeroed
     negative frequencies (``scipy.signal.hilbert``'s weights)."""
     n = x.size
-    spec = scipy.fft.fft(x)
+    spec = np.zeros(n, dtype=np.complex128)
+    spec[:n // 2 + 1] = np.fft.rfft(x)
     spec[1:(n + 1) // 2] *= 2.0
-    spec[n // 2 + 1:] = 0.0
-    return scipy.fft.ifft(spec)
+    return np.fft.ifft(spec)
 
 
 def _synthesize(fs: float, t0: float, phase, envelope, f0: float) -> TimeSeries:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -303,7 +304,18 @@ class TestWrongShapeJson:
         ('{"lines": []}', "bad PSD model config: missing 'segments'"),
         ('{"segments": [{"f_hz": 1.0, "level": Infinity, "slope": 0.0}]}',
          "segment needs positive finite f_hz and level, finite slope"),
-    ], ids=["floor", "no-segments", "non-finite-level"])
+        # integers too large for a float
+        ('{"segments": [{"f_hz": 1.0, "level": 1%s, "slope": 0.0}]}' % ("0" * 400),
+         "segment needs positive finite f_hz and level, finite slope; got level=1000"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": -1%s}]}' % ("0" * 400),
+         "segment needs positive finite f_hz and level, finite slope; got slope=-1000"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], '
+         '"lines": [{"f_hz": 60.0, "ratio": 1%s, "width_hz": 0.5}]}' % ("0" * 400),
+         "line needs positive finite f_hz, ratio, width_hz; got ratio=1000"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": 1%s}'
+         % ("0" * 400), "bad PSD model config: int too large to convert to float"),
+    ], ids=["floor", "no-segments", "non-finite-level", "huge-level", "huge-slope",
+            "huge-ratio", "huge-floor"])
     def test_psd_model_errors_name_the_file(self, tmp_path, capsys, text, message):
         config = tmp_path / "model.json"
         config.write_text(text)
@@ -490,7 +502,8 @@ class TestReadme:
         assert exit_codes[index] == 0, "gwxlab " + " ".join(README_COMMANDS[index])
 
 
-LAZY_MODULES = ("scipy.signal", "scipy.ndimage", "scipy.integrate")
+# packages that load at call time only, with every module under them
+LAZY_MODULES = ("scipy",)
 
 _CHAIN = """
 import sys
@@ -498,7 +511,7 @@ from gwxlab.cli import main
 
 for argv in {chain!r}:
     assert main(argv) == 0, argv
-print("loaded:", sorted(m for m in sys.modules if m in {modules!r}))
+print(sorted(m for m in sys.modules if m.split(".")[0] in {modules!r}))
 """
 _SETUP = [
     ["noise", "--duration", "8", "--seed", "3", "--out", "run"],
@@ -506,21 +519,48 @@ _SETUP = [
 ]
 
 
-def lazy_modules_loaded(tmp_path, chain) -> str:
-    """Run ``chain`` of CLI argument lists in a fresh interpreter; the lazy
-    scipy subpackages it loaded."""
+def lazy_modules_loaded(tmp_path, chain) -> list[str]:
+    """Run ``chain`` of CLI argument lists in a fresh interpreter; the
+    modules under ``LAZY_MODULES`` it loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     script = _CHAIN.format(chain=_SETUP + chain, modules=LAZY_MODULES)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _import_time_imports(tree: ast.Module):
+    """(line, module) of each import that runs when the module is imported:
+    everything outside function bodies."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+        nodes.extend(ast.iter_child_nodes(node))
 
 
 class TestLazyImports:
-    """The heavy scipy subpackages load at call time only, so neither
-    detection engine's path loads them."""
+    """scipy loads at call time only, so neither detection engine's path
+    loads any of it."""
+
+    def test_no_module_imports_scipy_at_import_time(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
+        found = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
+                 for line, name in _import_time_imports(ast.parse(path.read_text()))
+                 if name.split(".")[0] in LAZY_MODULES]
+        assert found == []
+
+    def test_import_scan_sees_module_level_imports(self):
+        tree = ast.parse("import scipy.fft\nif True:\n    from scipy import signal\n"
+                         "def f():\n    import scipy.ndimage\n")
+        assert sorted(_import_time_imports(tree)) == [(1, "scipy.fft"), (3, "scipy")]
 
     def test_matched_filter_chain_loads_no_scipy_signal(self, tmp_path):
         chain = [
@@ -528,17 +568,25 @@ class TestLazyImports:
              "--out", "run"],
             ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
              "--psd", "model", "--mode", "circular", "--out", "run"],
+            ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
+             "--psd", "model", "--mode", "cyclic_prefix", "--no-reweight", "--out", "run"],
             ["scenario", "run", "mf-sine-misfire", "--trials", "2", "--seed", "3",
              "--out", "runs"],
         ]
-        assert lazy_modules_loaded(tmp_path, chain) == "loaded: []"
+        assert lazy_modules_loaded(tmp_path, chain) == []
 
     def test_ccf_chain_loads_no_scipy_signal(self, tmp_path):
         chain = [
             ["noise", "--duration", "1", "--seed", "1", "--name", "a.gwx", "--out", "run"],
             ["noise", "--duration", "1", "--seed", "2", "--name", "b.gwx", "--out", "run"],
+            ["whiten", "--strain", "run/noise.gwx", "--psd", "model", "--whiten", "full",
+             "--out", "run"],
             ["ccf", "--a", "run/a.gwx", "--b", "run/b.gwx", "--max-lag", "0.5", "--out", "run"],
             ["running-ccf", "--strain", "run/noise.gwx", "--template", "run/gw150914.gwx",
              "--hop", "0.05", "--out", "run"],
         ]
-        assert lazy_modules_loaded(tmp_path, chain) == "loaded: []"
+        assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_bandpass_loads_scipy_signal(self, tmp_path):
+        chain = [["bandpass", "--strain", "run/noise.gwx", "--band", "43:300", "--out", "run"]]
+        assert "scipy.signal" in lazy_modules_loaded(tmp_path, chain)

@@ -468,6 +468,33 @@ def prefixed_chi2_oracle(strain, template, psd, n_bins):
     return z, chi2 * n_bins / hh / (2 * n_bins - 2)
 
 
+class TestNextFastLen:
+    """The private FFT-length rule against ``scipy.fft.next_fast_len``."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_scipy(self, real):
+        rng = np.random.default_rng(16)
+        targets = [*range(1, 2**14 + 1), *map(int, rng.integers(2**14, 2**22, 2000)), 2**22]
+        fast_len = detection._next_fast_len.__wrapped__  # the rule, not the cache
+        assert [fast_len(n, real) for n in targets] == \
+            [next_fast_len(n, real) for n in targets]
+
+    def test_matches_scipy_on_the_scenario_lengths(self):
+        # a 32 s block, and per stock template its CCF with a window of its
+        # length and the band autocorrelations of its chi-squared veto
+        n = int(32 * FS)
+        psd = default_detector_model().to_power_spectrum(1.0 / 32, n // 2 + 1)
+        lengths = [(n, False)]
+        for name in ("gw150914", "gw151226", "gw170104"):
+            template = stock_template(name, FS).base
+            plan = detection._MfPlan(template, psd, MfConfig(), n, FS)
+            lengths += [(2 * template.n - 1, True)]
+            lengths += [(2 * w - 1, False) for _, w, _ in plan.band_spans]
+        assert len(lengths) == 1 + 3 * 17
+        for target, real in lengths:
+            assert detection._next_fast_len(target, real) == next_fast_len(target, real)
+
+
 class TestPlannedCyclicPrefix:
     """The planned cyclic-prefix kernels against per-call kernels."""
 
@@ -710,6 +737,42 @@ class TestResultRecords:
         for frozen in (plain.rho, reweighted.rho_reweighted, ccf.lags, ccf.values):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[0] = 0.0
+
+    def test_frozen_owned_arrays_are_adopted(self):
+        rho, other = np.ones(4), np.full(4, 0.5)
+        for mine in (rho, other):
+            mine.setflags(write=False)
+        snr = detection.SnrSeries(fs=1.0, t0=0.0, rho=rho, rho_reweighted=other,
+                                  sigma=1.0, mode="circular")
+        assert snr.rho is rho and snr.rho_reweighted is other
+
+    def test_writable_arrays_and_views_are_copied(self):
+        base, writable = np.ones(8), np.ones(4)
+        view = base[:4]
+        view.setflags(write=False)  # read-only, but its base is not
+        snr = detection.SnrSeries(fs=1.0, t0=0.0, rho=view, rho_reweighted=writable,
+                                  sigma=1.0, mode="circular")
+        assert snr.rho is not view and snr.rho_reweighted is not writable
+        base[:] = 7.0
+        writable[:] = 7.0
+        assert np.all(snr.rho == 1.0) and np.all(snr.rho_reweighted == 1.0)
+
+    @pytest.mark.parametrize("bins", [None, 4])
+    def test_matched_filter_hands_its_arrays_over(self, bins):
+        strain, template, psd = _mf_case(7, 32, 100)
+        handed = []
+
+        def spy(values, name):
+            out = readonly_f64(values, name)
+            handed.append(out is values)
+            return out
+
+        readonly_f64 = detection._readonly_f64
+        with mock.patch.object(detection, "_readonly_f64", spy):
+            snr = matched_filter(strain, template, psd,
+                                 MfConfig(block_len=None, reweight_bins=bins))
+        assert handed == [True] * (1 if bins is None else 2)
+        assert not (snr.rho.flags.writeable or snr.rho_reweighted.flags.writeable)
 
 
 def _peak_r3_oracle(values, lags, tau0):

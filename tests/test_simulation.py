@@ -86,7 +86,8 @@ class TestPsdModel:
             assert model.evaluate(f).tobytes() == _evaluate_everywhere(model, f).tobytes()
 
     @pytest.mark.parametrize("values", [(np.inf, 100.0, 0.5), (60.0, np.nan, 0.5),
-                                        (60.0, 100.0, np.inf), (60.0, 100.0, 0.0)])
+                                        (60.0, 100.0, np.inf), (60.0, 100.0, 0.0),
+                                        (60.0, 10**400, 0.5)])
     def test_line_refuses_non_finite_parameters(self, values):
         with pytest.raises(ValidationError, match="line needs positive finite"):
             PsdLine(*values)
@@ -119,7 +120,8 @@ class TestPsdModel:
     def test_segment_refuses_non_finite_values(self):
         for values in [(np.inf, 1.0, 0.0), (np.nan, 1.0, 0.0), (0.0, 1.0, 0.0),
                        (1.0, np.inf, 0.0), (1.0, np.nan, 0.0), (1.0, -1.0, 0.0),
-                       (1.0, 1.0, np.inf), (1.0, 1.0, -np.inf), (1.0, 1.0, np.nan)]:
+                       (1.0, 1.0, np.inf), (1.0, 1.0, -np.inf), (1.0, 1.0, np.nan),
+                       (1.0, 10**400, 0.0), (1.0, 1.0, -10**400)]:
             with pytest.raises(ValidationError, match="segment needs positive finite f_hz "
                                                       "and level, finite slope"):
                 PsdSegment(*values)
