@@ -449,8 +449,10 @@ def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
 
 
 def _reweight_factor(chi2_r: np.ndarray) -> np.ndarray:
-    factor = ((1.0 + np.maximum(chi2_r, 1.0) ** 3) / 2.0) ** (-1.0 / 6.0)
-    return np.where(chi2_r <= 1.0, 1.0, factor)
+    factor = np.ones_like(chi2_r)
+    high = ~(chi2_r <= 1.0)  # NaN included, as the power of it gives NaN
+    factor[high] = ((1.0 + chi2_r[high] ** 3) / 2.0) ** (-1.0 / 6.0)
+    return factor
 
 
 def matched_filter(

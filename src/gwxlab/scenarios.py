@@ -312,7 +312,7 @@ def _psd_model(cfg: ScenarioConfig) -> PsdModel:
     return default_detector_model()
 
 
-def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
+def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
                       sigma_ratio: float = 0.01, burst_f0: float = 64.0,
                       decay_tau: float | None = 0.25, **shared) -> ScenarioResult:
     spec = BurstSpec(kind="sine_decay", duration=burst_duration, sigma_ratio=sigma_ratio,
@@ -320,7 +320,7 @@ def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
     return _misfire_scenario(cfg, lambda noise, seed: sine_burst(spec, ref=noise), **shared)
 
 
-def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: float = 1.0,
+def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
                       sigma_ratio: float = 0.002, **shared) -> ScenarioResult:
     def make_burst(noise: TimeSeries, seed: int) -> TimeSeries:
         return awgn_burst(BurstSpec(kind="awgn", duration=burst_duration, sigma_ratio=sigma_ratio,
@@ -399,7 +399,7 @@ def _scenario_ccf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw151226",
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: float = 0.2, max_lag: float | None = None,
+def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2, max_lag: float | None = None,
                        band: tuple[float, float] = (43.0, 300.0),
                        event_at: float | None = None) -> ScenarioResult:
     """Cross-detector CCF over the event window.
@@ -504,7 +504,7 @@ def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914
 
 
 def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
-                             band: tuple[float, float] = (43.0, 300.0), long_window: float = 20.0,
+                             band: tuple[float, float] = (43.0, 300.0), long_window: Positive = 20.0,
                              amp_rel: float = 1.5, long_max_lag: float = 1.0) -> ScenarioResult:
     """Event-duration window versus a 20 s window for the same injection."""
     tpl, _ = _template_for(cfg, template_kind)

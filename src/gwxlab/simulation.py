@@ -223,11 +223,19 @@ def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> Tim
     scale = _noise_scale(model, n, fs)
     re = rng.standard_normal(n_f)
     im = rng.standard_normal(n_f)
-    bins = (re + 1j * im) / math.sqrt(2.0) * scale
+    # real Nyquist bin; one-sided density there has no factor 2
+    nyquist = re[-1] * scale[-1] * math.sqrt(2.0)
+    # (re + 1j * im) / sqrt(2) * scale, bit for bit: numpy divides a complex
+    # by a real by multiplying with the reciprocal
+    for draws in (re, im):
+        draws *= 1.0 / math.sqrt(2.0)
+        draws *= scale
+    bins = np.empty(n_f, dtype=np.complex128)
+    bins.real = re
+    bins.imag = im
     bins[0] = 0.0
     if n % 2 == 0:
-        # real Nyquist bin; one-sided density there has no factor 2
-        bins[-1] = re[-1] * scale[-1] * math.sqrt(2.0)
+        bins[-1] = nyquist
     return TimeSeries(fs=fs, t0=0.0, samples=np.fft.irfft(bins, n=n))
 
 

@@ -9,6 +9,7 @@ frequency-modulated waveforms that differ substantially from the original.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import TimeSeries, _json_text, _read_json, _write_json, load_strain, save_strain
+from .series import (TimeSeries, _finite, _json_text, _read_json, _write_json, load_strain,
+                     save_strain)
 
 __all__ = [
     "Template",
@@ -281,11 +283,27 @@ def save_template(tpl: Template, basename: str | os.PathLike) -> tuple[str, str]
 
 
 def load_template(basename: str | os.PathLike) -> Template:
-    """Read a template saved by :func:`save_template`, re-extracting phase."""
+    """Read a template saved by :func:`save_template`, re-extracting phase.
+
+    Each metadata field is optional, but one that is present must fit the
+    waveform: ``f0_hz`` finite, ``waveform`` the name of ``<basename>.gwx``,
+    and ``fs_hz`` and ``duration_s`` equal to what its header gives.
+    """
     meta = f"{basename}.json"
+    wav = f"{basename}.gwx"
     info = _read_json(meta)
     try:
         f0 = float(info.get("f0_hz", 0.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{meta}: f0_hz must be a number, got {info['f0_hz']!r}") from None
-    return extract_phase_amplitude(load_strain(f"{basename}.gwx"), carrier_f0=f0)
+    if not math.isfinite(f0):
+        raise ParseError(f"{meta}: f0_hz must be finite, got {info['f0_hz']!r}")
+    name = os.path.basename(wav)
+    if info.get("waveform", name) != name:
+        raise ParseError(f"{meta}: waveform is {info['waveform']!r}, but the waveform "
+                         f"file is {name!r}")
+    base = load_strain(wav)
+    for key, value in (("fs_hz", base.fs), ("duration_s", base.duration)):
+        if key in info and not (_finite(info[key]) and info[key] == value):
+            raise ParseError(f"{meta}: {key} is {info[key]!r}, but {wav} holds {value!r}")
+    return extract_phase_amplitude(base, carrier_f0=f0)

@@ -258,6 +258,29 @@ class TestMalformedJson:
                    "--out", str(tmp_path)) == 2
         assert "gw150914.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, text, message", [
+        ("fs_hz", "100", "fs_hz is 100, but {wav} holds 1024.0"),
+        ("duration_s", "2.0", "duration_s is 2.0, but {wav} holds 0.2001953125"),
+        ("duration_s", '"0.2001953125"', "duration_s is '0.2001953125', but {wav} holds "
+                                         "0.2001953125"),
+        ("waveform", '"gw151226.gwx"', "waveform is 'gw151226.gwx', but the waveform file is "
+                                       "'gw150914.gwx'"),
+        ("f0_hz", "1e400", "f0_hz must be finite, got inf"),
+    ], ids=["fs", "duration", "duration-string", "waveform", "f0-infinite"])
+    def test_bogus_template_metadata_disagrees(self, tmp_path, capsys, field, text, message):
+        # one field of the metadata `template` wrote is replaced by ``text``
+        assert run("template", "--kind", "gw150914", "--fs", "1024",
+                   "--out", str(tmp_path)) == 0
+        meta = tmp_path / "gw150914.json"
+        info = json.loads(meta.read_text())
+        assert set(info) == {"f0_hz", "fs_hz", "duration_s", "waveform"}
+        info[field] = "FIELD"
+        meta.write_text(json.dumps(info).replace('"FIELD"', text))
+        assert run("bogus", "--template", str(tmp_path / "gw150914"),
+                   "--out", str(tmp_path)) == 2
+        wav = tmp_path / "gw150914.gwx"
+        assert f"{meta}: {message.format(wav=wav)}" in capsys.readouterr().err
+
 
 class TestWrongShapeJson:
     """JSON that parses but holds the wrong shape exits 2, not with a traceback."""
@@ -366,8 +389,16 @@ class TestWrongShapeJson:
         ("circular-artifact", {"block_len": 0}, "option 'block_len' must be a positive"),
         ("circular-artifact", {"block_len": -1}, "option 'block_len' must be a positive finite "
                                                  "number, got -1"),
+        ("mf-sine-misfire", {"burst_duration": -1}, "option 'burst_duration' must be a positive "
+                                                    "finite number, got -1"),
+        ("mf-awgn-misfire", {"burst_duration": -1}, "option 'burst_duration' must be a positive "
+                                                    "finite number, got -1"),
+        ("h1l1-ccf", {"window": -1}, "option 'window' must be a positive finite number, got -1"),
+        ("window-compare", {"long_window": -1}, "option 'long_window' must be a positive "
+                                                "finite number, got -1"),
     ], ids=["sine-block_len", "awgn-block_len", "span", "artifact-block_len-0",
-            "artifact-block_len-neg"])
+            "artifact-block_len-neg", "sine-burst_duration-neg", "awgn-burst_duration-neg",
+            "h1l1-window-neg", "window-compare-long_window-neg"])
     def test_out_of_range_option_values(self, tmp_path, capsys, name, options, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": options}))

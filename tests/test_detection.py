@@ -320,6 +320,22 @@ class TestReweightSnr:
         from gwxlab import SNR_THRESHOLD
         assert SNR_THRESHOLD == 5.0
 
+    def test_reweight_factor_matches_the_full_length_expression(self):
+        # the power runs only where chi2_r > 1; the old expression ran it on
+        # every lag and then picked 1 where chi2_r <= 1
+        def oracle(chi2_r):
+            factor = ((1.0 + np.maximum(chi2_r, 1.0) ** 3) / 2.0) ** (-1.0 / 6.0)
+            return np.where(chi2_r <= 1.0, 1.0, factor)
+
+        rng = rng_for(17)
+        edges = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e3, np.nan])
+        cases = [edges, np.empty(0), np.ones(7), np.zeros(7)]
+        cases += [rng.exponential(1.0, 100_000) * scale for scale in (0.5, 1.0, 3.0, 100.0)]
+        for chi2_r in cases:
+            got = detection._reweight_factor(chi2_r)
+            assert got.dtype == np.float64 and got.shape == chi2_r.shape
+            assert np.array_equal(got, oracle(chi2_r), equal_nan=True)
+
 
 def per_band_chi2_oracle(strain, template, psd, n_bins, band=None):
     """Circular chi-squared by its definition: one masked iFFT per band.

@@ -1,5 +1,7 @@
+import ctypes
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -300,6 +302,59 @@ class TestLanes:
             run_scenario(cfg)
         assert len(started) == helpers
         assert lanes._helpers == 0
+
+    # glibc's <malloc.h>: M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    KEEP_FREED_HEAP = [(-8, 1), (-3, 32 * 1024 * 1024), (-1, 64 * 1024 * 1024)]
+
+    @staticmethod
+    def _fake_c_library(monkeypatch, version, *, with_mallopt=True):
+        """A fresh process as far as the allocator set-up goes, on a C library
+        that reports ``version`` and records its ``mallopt`` calls."""
+        calls = []
+
+        class FakeLibc:
+            if with_mallopt:
+                def mallopt(self, param, value):
+                    calls.append((param, value, lanes._budget_lock.locked()))
+                    return 1
+
+        confstr = os.confstr
+
+        def fake_confstr(name):
+            if name == "CS_GNU_LIBC_VERSION":
+                if isinstance(version, Exception):
+                    raise version
+                return version
+            return confstr(name)
+
+        monkeypatch.setattr(lanes, "_heap_kept", False)
+        monkeypatch.setattr(os, "confstr", fake_confstr)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        return calls
+
+    def test_first_call_keeps_freed_heap_once(self, monkeypatch):
+        calls = self._fake_c_library(monkeypatch, "glibc 2.36")
+        with _with_lanes(2):
+            assert lanes.run_lanes(lambda k: k, 3) == [0, 1, 2]
+            assert calls == [(p, v, True) for p, v in self.KEEP_FREED_HEAP]
+            assert lanes.run_lanes(lambda k: k, 3) == [0, 1, 2]
+            monte_carlo(lambda k, seed: TrialReport(trial_index=k, seed=seed), 2, seed_base=1)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("version", [None, "", ValueError("unrecognized configuration name")],
+                             ids=["unset", "empty", "unknown-name"])
+    def test_no_mallopt_without_glibc(self, monkeypatch, version):
+        calls = self._fake_c_library(monkeypatch, version)
+        monkeypatch.setattr(ctypes, "CDLL", mock.Mock(side_effect=AssertionError("C library opened")))
+        with _with_lanes(2):
+            assert lanes.run_lanes(lambda k: k, 3) == [0, 1, 2]
+        assert calls == []
+
+    def test_no_mallopt_in_the_c_library(self, monkeypatch):
+        calls = self._fake_c_library(monkeypatch, "glibc 2.36", with_mallopt=False)
+        with _with_lanes(2):
+            assert lanes.run_lanes(lambda k: k, 3) == [0, 1, 2]
+        assert calls == []
 
 
 class TestScenarioRegistry:

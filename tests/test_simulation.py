@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gwxlab import (
     derive_seed,
     inject,
     line_interference,
+    rng_for,
     sine_burst,
     welch_psd,
 )
@@ -182,6 +184,28 @@ class TestColoredNoise:
         for k, ((model, duration, fs), want) in enumerate(zip(calls, expected)):
             got = colored_noise(model, duration, fs, seed=k)
             np.testing.assert_array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("n", [131_072, 12_288, 2048, 4097, 2049])
+    def test_spectrum_matches_the_complex_expression(self, n):
+        # oracle: the bins built from complex temporaries, as before the
+        # draws were scaled in place; an odd n has no Nyquist bin
+        def oracle(model, duration, fs, seed):
+            n = int(round(duration * fs))
+            rng = rng_for(seed)
+            scale = simulation._noise_scale(model, n, fs)
+            re = rng.standard_normal(n // 2 + 1)
+            im = rng.standard_normal(n // 2 + 1)
+            bins = (re + 1j * im) / math.sqrt(2.0) * scale
+            bins[0] = 0.0
+            if n % 2 == 0:
+                bins[-1] = re[-1] * scale[-1] * math.sqrt(2.0)
+            return np.fft.irfft(bins, n=n)
+
+        model = default_detector_model()
+        for seed in range(3):
+            got = colored_noise(model, n / 4096.0, 4096.0, seed=seed).samples
+            assert got.size == n
+            np.testing.assert_array_equal(got, oracle(model, n / 4096.0, 4096.0, seed))
 
     def test_distinct_seeds_uncorrelated(self):
         a = colored_noise(FLAT, 16.0, 4096.0, seed=1)
