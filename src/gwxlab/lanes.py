@@ -19,8 +19,8 @@ page-fault path.  Three ``mallopt`` values stop that: one arena, so the
 lanes share one heap; a 32 MiB mmap threshold, glibc's 64-bit ceiling
 for its own dynamic threshold; and a 64 MiB trim threshold, twice that,
 as glibc's dynamic rule would set it.  They go together, because any one
-``mallopt`` turns the dynamic rule off.  The kept heap costs about
-2 MiB of peak RSS on the matched-filter Monte-Carlo run.
+``mallopt`` turns the dynamic rule off.  The kept heap costs 1-3 MiB
+of peak RSS.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def _keep_freed_heap() -> None:
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     for param, value in _MALLOPT_VALUES:
         mallopt(param, value)
 

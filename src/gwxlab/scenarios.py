@@ -399,8 +399,8 @@ def _scenario_ccf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw151226",
     return ScenarioResult(cfg, reports, stats, figures)
 
 
-def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2, max_lag: float | None = None,
-                       band: tuple[float, float] = (43.0, 300.0),
+def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
+                       max_lag: float | None = None, band: tuple[float, float] = (43.0, 300.0),
                        event_at: float | None = None) -> ScenarioResult:
     """Cross-detector CCF over the event window.
 
@@ -504,8 +504,9 @@ def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914
 
 
 def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
-                             band: tuple[float, float] = (43.0, 300.0), long_window: Positive = 20.0,
-                             amp_rel: float = 1.5, long_max_lag: float = 1.0) -> ScenarioResult:
+                             band: tuple[float, float] = (43.0, 300.0),
+                             long_window: Positive = 20.0, amp_rel: float = 1.5,
+                             long_max_lag: float = 1.0) -> ScenarioResult:
     """Event-duration window versus a 20 s window for the same injection."""
     tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)

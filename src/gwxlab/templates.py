@@ -9,7 +9,7 @@ frequency-modulated waveforms that differ substantially from the original.
 
 from __future__ import annotations
 
-import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -292,12 +292,11 @@ def load_template(basename: str | os.PathLike) -> Template:
     meta = f"{basename}.json"
     wav = f"{basename}.gwx"
     info = _read_json(meta)
-    try:
-        f0 = float(info.get("f0_hz", 0.0))
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{meta}: f0_hz must be a number, got {info['f0_hz']!r}") from None
-    if not math.isfinite(f0):
-        raise ParseError(f"{meta}: f0_hz must be finite, got {info['f0_hz']!r}")
+    f0 = info.get("f0_hz", 0.0)
+    if not isinstance(f0, numbers.Real) or isinstance(f0, bool):
+        raise ParseError(f"{meta}: f0_hz must be a number, got {f0!r}")
+    if not _finite(f0):
+        raise ParseError(f"{meta}: f0_hz must be finite, got {f0!r}")
     name = os.path.basename(wav)
     if info.get("waveform", name) != name:
         raise ParseError(f"{meta}: waveform is {info['waveform']!r}, but the waveform "
@@ -306,4 +305,4 @@ def load_template(basename: str | os.PathLike) -> Template:
     for key, value in (("fs_hz", base.fs), ("duration_s", base.duration)):
         if key in info and not (_finite(info[key]) and info[key] == value):
             raise ParseError(f"{meta}: {key} is {info[key]!r}, but {wav} holds {value!r}")
-    return extract_phase_amplitude(base, carrier_f0=f0)
+    return extract_phase_amplitude(base, carrier_f0=float(f0))

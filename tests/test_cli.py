@@ -266,7 +266,11 @@ class TestMalformedJson:
         ("waveform", '"gw151226.gwx"', "waveform is 'gw151226.gwx', but the waveform file is "
                                        "'gw150914.gwx'"),
         ("f0_hz", "1e400", "f0_hz must be finite, got inf"),
-    ], ids=["fs", "duration", "duration-string", "waveform", "f0-infinite"])
+        ("f0_hz", "1" + "0" * 400, "f0_hz must be finite, got 1" + "0" * 400),
+        ("f0_hz", '"56.0"', "f0_hz must be a number, got '56.0'"),
+        ("f0_hz", "true", "f0_hz must be a number, got True"),
+    ], ids=["fs", "duration", "duration-string", "waveform", "f0-infinite", "f0-huge-int",
+            "f0-string", "f0-bool"])
     def test_bogus_template_metadata_disagrees(self, tmp_path, capsys, field, text, message):
         # one field of the metadata `template` wrote is replaced by ``text``
         assert run("template", "--kind", "gw150914", "--fs", "1024",

@@ -843,15 +843,24 @@ class TestPeakRatioR3:
 
     @settings(max_examples=200, deadline=None)
     @given(case=short_lag_cases())
+    @example(case=(TimeSeries(8.0, 0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0])),
+                   TimeSeries(8.0, 0.0, np.array([0.0, 0.0, 0.0, 1.0, 0.0])), 2, 1.0 / 48.0, 1))
     def test_slices_match_the_mask_oracle(self, case):
         a, b, m, tau0, k0 = case
         assert detection._outer_start(m, a.fs, tau0) == k0
+        plan = detection._CcfPlan(b, a.fs, m, tau0)
+        full = plan.correlate(detection._unit_energy(a.samples, "first"))
+        if not np.concatenate([full[plan.size - m:], full[:m + 1]]).any():
+            # zero at every lag in range, as for samples more than m apart:
+            # the oracle has no peak ratio either
+            with pytest.raises(DegeneracyError, match="flat zero CCF"):
+                normalized_ccf(a, b, max_lag=m / a.fs, tau0=tau0)
+            return
         ccf = normalized_ccf(a, b, max_lag=m / a.fs, tau0=tau0)
         assert ccf.lags.size == 2 * m + 1 and ccf.lags[m] == 0.0
         peak, r3 = _peak_r3_oracle(ccf.values, ccf.lags, tau0)
         assert (ccf.peak_abs, ccf.r3) == (peak, r3)
         # a chunk of rows reduces row by row as one row does
-        plan = detection._CcfPlan(b, a.fs, m, tau0)
         mag = np.abs(plan.correlate(np.stack([a.samples, b.samples, -a.samples])))
         rows = np.array([plan.peak_r3(row) for row in mag])
         assert np.array_equal(np.column_stack(plan.peak_r3(mag)), rows)

@@ -312,11 +312,15 @@ class TestLanes:
         that reports ``version`` and records its ``mallopt`` calls."""
         calls = []
 
+        def mallopt(param, value):
+            assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+            calls.append((param, value, lanes._budget_lock.locked()))
+            return 1
+
         class FakeLibc:
             if with_mallopt:
-                def mallopt(self, param, value):
-                    calls.append((param, value, lanes._budget_lock.locked()))
-                    return 1
+                def __init__(self):
+                    self.mallopt = mallopt
 
         confstr = os.confstr
 
@@ -345,7 +349,8 @@ class TestLanes:
                              ids=["unset", "empty", "unknown-name"])
     def test_no_mallopt_without_glibc(self, monkeypatch, version):
         calls = self._fake_c_library(monkeypatch, version)
-        monkeypatch.setattr(ctypes, "CDLL", mock.Mock(side_effect=AssertionError("C library opened")))
+        monkeypatch.setattr(ctypes, "CDLL",
+                            mock.Mock(side_effect=AssertionError("C library opened")))
         with _with_lanes(2):
             assert lanes.run_lanes(lambda k: k, 3) == [0, 1, 2]
         assert calls == []
