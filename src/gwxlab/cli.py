@@ -40,6 +40,7 @@ from .scenarios import (
 )
 from .series import (
     PowerSpectrum,
+    TimeSeries,
     _finite,
     _json_text,
     _read_json,
@@ -51,7 +52,7 @@ from .series import (
     save_strain,
     welch_psd,
 )
-from .simulation import PsdModel, _eighth_hz_psd, colored_noise, default_detector_model, inject
+from .simulation import PsdModel, _model_psd, colored_noise, default_detector_model, inject
 from .templates import BogusSpec, load_template, make_bogus, save_template, stock_template
 
 
@@ -81,13 +82,13 @@ def _pair(form: str):
     return parse
 
 
-def _load_psd(arg: str, fs: float) -> PowerSpectrum:
-    """PSD from 'model', 'model:<json path>', or a CSV table path."""
-    if arg == "model":
-        return _eighth_hz_psd(default_detector_model(), fs)
-    if arg.startswith("model:"):
-        return _eighth_hz_psd(PsdModel.load(arg.split(":", 1)[1]), fs)
-    return load_psd_csv(arg)
+def _load_psd(arg: str, strain: TimeSeries) -> PowerSpectrum:
+    """PSD from a CSV table path, or from 'model' or 'model:<json path>' on
+    ``strain``'s own rfft grid."""
+    if arg != "model" and not arg.startswith("model:"):
+        return load_psd_csv(arg)
+    model = default_detector_model() if arg == "model" else PsdModel.load(arg[len("model:"):])
+    return _model_psd(model, strain.n, strain.fs)
 
 
 def _out_path(args, name: str) -> str:
@@ -149,7 +150,7 @@ def _cmd_psd(args) -> int:
 
 def _cmd_whiten(args) -> int:
     ts = load_strain(args.strain)
-    psd = _load_psd(args.psd, ts.fs)
+    psd = _load_psd(args.psd, ts)
     if args.whiten == "full":
         return _save_out(args, whiten_full(ts, psd))
     bands = detect_lines(psd, threshold_ratio=args.line_threshold,
@@ -166,7 +167,7 @@ def _cmd_bandpass(args) -> int:
 def _cmd_mf(args) -> int:
     strain = load_strain(args.strain)
     template = load_strain(args.template)
-    psd = _load_psd(args.psd, strain.fs)
+    psd = _load_psd(args.psd, strain)
     cfg = MfConfig(
         block_len=None,
         mode=args.mode,

@@ -424,9 +424,13 @@ def _plan_for(template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
 
     Exact reuse: the template and PSD are frozen, compare by identity and
     own read-only copies of their arrays, so the same objects always hold
-    the same values.  Threads at worst build a plan twice.
+    the same values.  Callers hold ``_PLAN_LOCK``, so lanes that miss
+    together build the plan once.
     """
     return _MfPlan(template, psd, cfg, n, fs)
+
+
+_PLAN_LOCK = threading.Lock()
 
 
 def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
@@ -470,7 +474,8 @@ def matched_filter(
     strain, which is all a cyclic prefix buys.
     """
     _check_block(strain, template, cfg)
-    plan = _plan_for(template, psd, cfg, strain.n, strain.fs)
+    with _PLAN_LOCK:
+        plan = _plan_for(template, psd, cfg, strain.n, strain.fs)
     z, spectrum = plan.snr_complex(strain)
     sigma = math.sqrt(plan.hh)
     rho = np.abs(z) / sigma

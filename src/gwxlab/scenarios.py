@@ -41,7 +41,7 @@ from .simulation import (
     BurstSpec,
     PsdLine,
     PsdModel,
-    _eighth_hz_psd,
+    _model_psd,
     awgn_burst,
     colored_noise,
     default_detector_model,
@@ -227,8 +227,9 @@ def monte_carlo(trial_fn, trials: int, seed_base: int, name: str = "scenario"):
 # shared scenario pieces
 
 
-def _whiten_and_band(ts: TimeSeries, psd: PowerSpectrum, band) -> TimeSeries:
-    return butterworth_bandpass(whiten_full(ts, psd), band[0], band[1])
+def _whiten_and_band(ts: TimeSeries, model: PsdModel, band) -> TimeSeries:
+    """Whiten against ``model`` on ``ts``'s own rfft grid, then band-pass."""
+    return butterworth_bandpass(whiten_full(ts, _model_psd(model, ts.n, ts.fs)), *band)
 
 
 def _template_for(cfg: ScenarioConfig, template_kind: str):
@@ -261,24 +262,27 @@ def _ccf_figure(ccf) -> tuple[list[str], _Columns]:
     return ["lag_s", "ccf"], _Columns(ccf.lags, ccf.values)
 
 
-def _misfire_scenario(cfg: ScenarioConfig, make_burst, *, block_len: Positive = 32.0,
-                      template_kind: str = "gw150914", chi2_bins: int | None = 16,
-                      mf_mode: str = "circular", band: tuple[float, float] | None = None,
+def _misfire_scenario(cfg: ScenarioConfig, make_burst, burst_duration: float, *,
+                      block_len: Positive = 32.0, template_kind: str = "gw150914",
+                      chi2_bins: int | None = 16, mf_mode: str = "circular",
+                      band: tuple[float, float] | None = None,
                       burst_at: float = 15.5) -> ScenarioResult:
     """Low-amplitude burst against the chirp template, 32 s blocks.
 
     The two misfire scenarios build ``make_burst(noise, seed)`` from their
-    burst options and pass the shared ones on.  The verdict statistic is
-    the plain peak SNR (reweighting disabled in this scenario's detection
-    config): the chi-squared consistency veto, kept as a diagnostic,
-    suppresses narrowband bursts so strongly that the misfire would be
-    invisible through it.  ``fired_fraction_chi2`` in the summary reports
-    the vetoed variant.
+    burst options and pass the burst's duration and the shared options on.
+    The verdict statistic is the plain peak SNR (reweighting disabled in
+    this scenario's detection config): the chi-squared consistency veto,
+    kept as a diagnostic, suppresses narrowband bursts so strongly that the
+    misfire would be invisible through it.  ``fired_fraction_chi2`` in the
+    summary reports the vetoed variant.
     """
+    if not 0.0 <= burst_at <= block_len - burst_duration:
+        raise ValidationError(f"option 'burst_at' must lie in [0, block_len - burst_duration]"
+                              f" = [0, {block_len - burst_duration}] s, got {burst_at!r}")
     model = _psd_model(cfg)
     tpl, _ = _template_for(cfg, template_kind)
-    n_psd = int(round(block_len * cfg.fs)) // 2 + 1
-    psd = model.to_power_spectrum(1.0 / block_len, n_psd)
+    psd = _model_psd(model, int(round(block_len * cfg.fs)), cfg.fs)
     mf_cfg = MfConfig(block_len=block_len, mode=mf_mode, reweight_bins=chi2_bins, band=band)
     first_fig = {}
 
@@ -317,7 +321,8 @@ def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
                       decay_tau: float | None = 0.25, **shared) -> ScenarioResult:
     spec = BurstSpec(kind="sine_decay", duration=burst_duration, sigma_ratio=sigma_ratio,
                      f0=burst_f0, decay_tau=decay_tau)
-    return _misfire_scenario(cfg, lambda noise, seed: sine_burst(spec, ref=noise), **shared)
+    return _misfire_scenario(cfg, lambda noise, seed: sine_burst(spec, ref=noise),
+                             burst_duration, **shared)
 
 
 def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
@@ -326,7 +331,7 @@ def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
         return awgn_burst(BurstSpec(kind="awgn", duration=burst_duration, sigma_ratio=sigma_ratio,
                                     seed=derive_seed(seed, 0xB0B)), ref=noise)
 
-    return _misfire_scenario(cfg, make_burst, **shared)
+    return _misfire_scenario(cfg, make_burst, burst_duration, **shared)
 
 
 def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
@@ -372,7 +377,7 @@ def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
 
 def _scenario_ccf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw151226",
                         sigma_phase: float = 0.7, noise_ratio: float = 0.5,
-                        max_lag: float | None = None) -> ScenarioResult:
+                        max_lag: Positive | None = None) -> ScenarioResult:
     """Short-window CCF of a noisy bogus template against the ideal one."""
     tpl, _ = _template_for(cfg, template_kind)
     tau0 = decorrelation_time(tpl.base)
@@ -400,7 +405,8 @@ def _scenario_ccf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw151226",
 
 
 def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
-                       max_lag: float | None = None, band: tuple[float, float] = (43.0, 300.0),
+                       max_lag: Positive | None = None,
+                       band: tuple[float, float] = (43.0, 300.0),
                        event_at: float | None = None) -> ScenarioResult:
     """Cross-detector CCF over the event window.
 
@@ -415,7 +421,6 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
         raise ValidationError(f"inputs 'strain_a' and 'strain_b' go together; got {files}")
     model = _psd_model(cfg)
     max_lag = window / 2.0 if max_lag is None else max_lag
-    psd = model.to_power_spectrum(1.0, int(cfg.fs / 2) + 1)
     figures = {}
 
     def correlate(k: int, seed: int, wa: TimeSeries, wb: TimeSeries) -> TrialReport:
@@ -433,8 +438,8 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
         def trial(k: int, seed: int) -> TrialReport:
             # one evaluation of the file pair, recorded at seed_base
             return correlate(k, cfg.seed_base,
-                             slice_window(_whiten_and_band(a, psd, band), event_at, window),
-                             slice_window(_whiten_and_band(b, psd, band), event_at, window))
+                             slice_window(_whiten_and_band(a, model, band), event_at, window),
+                             slice_window(_whiten_and_band(b, model, band), event_at, window))
 
         reports, stats = monte_carlo(trial, 1, cfg.seed_base, cfg.name)
         stats.update(inputs="files", event_at_s=event_at)
@@ -443,8 +448,8 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
     def trial(k: int, seed: int) -> TrialReport:
         a = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 1))
         b = colored_noise(model, window, cfg.fs, seed=derive_seed(seed, 2))
-        return correlate(k, seed, _whiten_and_band(a, psd, band),
-                         _whiten_and_band(b, psd, band))
+        return correlate(k, seed, _whiten_and_band(a, model, band),
+                         _whiten_and_band(b, model, band))
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
     return ScenarioResult(cfg, reports, stats, figures)
@@ -452,13 +457,12 @@ def _scenario_h1l1_ccf(cfg: ScenarioConfig, *, window: Positive = 0.2,
 
 def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
                           noise_ratio: float = 0.5, band: tuple[float, float] = (43.0, 300.0),
-                          max_lag: float | None = None) -> ScenarioResult:
+                          max_lag: Positive | None = None) -> ScenarioResult:
     """Reference systems: the template correlated with itself (A), with
     white noise added on both sides (1), and with detector-like noise
     added on both sides (2)."""
     tpl, from_file = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    psd = model.to_power_spectrum(1.0, int(cfg.fs / 2) + 1)
     h = tpl.base.samples
     hrms = float(np.sqrt(np.mean(h**2)))
     tau0 = decorrelation_time(tpl.base)
@@ -475,11 +479,9 @@ def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914
         sys1 = normalized_ccf(a1, b1, max_lag=max_lag, tau0=tau0)
         tau1 = ccf_decorrelation_time(sys1)
         na = _whiten_and_band(
-            colored_noise(model, tpl.base.duration, fs, seed=derive_seed(seed, 3)),
-            psd, band)
+            colored_noise(model, tpl.base.duration, fs, seed=derive_seed(seed, 3)), model, band)
         nb = _whiten_and_band(
-            colored_noise(model, tpl.base.duration, fs, seed=derive_seed(seed, 4)),
-            psd, band)
+            colored_noise(model, tpl.base.duration, fs, seed=derive_seed(seed, 4)), model, band)
         unit = h / hrms
         a2 = TimeSeries(fs, 0.0, unit + noise_ratio * na.samples / np.std(na.samples))
         b2 = TimeSeries(fs, 0.0, unit + noise_ratio * nb.samples / np.std(nb.samples))
@@ -506,16 +508,15 @@ def _scenario_ref_systems(cfg: ScenarioConfig, *, template_kind: str = "gw150914
 def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
                              band: tuple[float, float] = (43.0, 300.0),
                              long_window: Positive = 20.0, amp_rel: float = 1.5,
-                             long_max_lag: float = 1.0) -> ScenarioResult:
+                             long_max_lag: Positive = 1.0) -> ScenarioResult:
     """Event-duration window versus a 20 s window for the same injection."""
     tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
     span = long_window + 1.0
     event = tpl.base.duration
     t_inj = span / 2.0
-    psd = _eighth_hz_psd(model, cfg.fs)
     host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
-    processed_tpl_full = _whiten_and_band(inject(host, tpl.base, t_inj), psd, band)
+    processed_tpl_full = _whiten_and_band(inject(host, tpl.base, t_inj), model, band)
     short_ref = slice_window(processed_tpl_full, t_inj, event)
     tau0 = decorrelation_time(short_ref)
     long_start = t_inj - long_window / 2.0
@@ -523,7 +524,7 @@ def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150
     figures = {}
 
     def trial(k: int, seed: int) -> TrialReport:
-        noise = _whiten_and_band(colored_noise(model, span, cfg.fs, seed=seed), psd, band)
+        noise = _whiten_and_band(colored_noise(model, span, cfg.fs, seed=seed), model, band)
         scale = amp_rel * float(np.std(noise.samples)) / float(np.std(short_ref.samples))
         strain = noise.with_samples(noise.samples + scale * processed_tpl_full.samples)
         short = normalized_ccf(slice_window(strain, t_inj, event), short_ref,
@@ -559,7 +560,7 @@ def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw
         + tuple(l for l in base_model.lines if abs(l.f_hz - 60.0) > 1.0),
         f_floor_hz=base_model.f_floor_hz,
     )
-    psd = model.to_power_spectrum(1.0 / span, int(round(span * cfg.fs)) // 2 + 1)
+    psd = _model_psd(model, int(round(span * cfg.fs)), cfg.fs)
     bands = detect_lines(psd, threshold_ratio=10.0, median_window_hz=8.0)
     t_inj = span / 2.0
     host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
@@ -616,16 +617,15 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
     _check_hop(hop, cfg.fs)
     tpl, _ = _template_for(cfg, template_kind)
     model = _psd_model(cfg)
-    psd = _eighth_hz_psd(model, cfg.fs)
     tpl_host = TimeSeries(cfg.fs, 0.0, np.zeros(int(4 * cfg.fs)))
-    tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), psd, band)
+    tpl_padded = _whiten_and_band(inject(tpl_host, tpl.base, 2.0), model, band)
     tau0 = decorrelation_time(tpl_padded)
     tpl_proc = slice_window(tpl_padded, 2.0, tpl.base.duration)
     figures = {}
 
     def trial(k: int, seed: int) -> TrialReport:
         processed = _whiten_and_band(colored_noise(model, duration, cfg.fs, seed=seed),
-                                     psd, band)
+                                     model, band)
         spans = [*exclusions, (0.0, edge_exclusion), (duration - edge_exclusion, duration)]
         scan = running_window_ccf(processed, tpl_proc, hop=hop, exclusions=spans, tau0=tau0)
         if k == 0:

@@ -94,8 +94,7 @@ class PsdModel:
         starts = [s.f_hz for s in segments]
         if sorted(starts) != starts:
             raise ValidationError("segments must be sorted by f_hz")
-        if self.f_floor_hz <= 0:
-            raise ValidationError("f_floor_hz must be positive")
+        _check_fields(self, "model needs a positive finite f_floor_hz", positive=("f_floor_hz",))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "lines", lines)
 
@@ -137,10 +136,14 @@ class PsdModel:
     @classmethod
     def from_dict(cls, data: dict) -> "PsdModel":
         try:
+            unknown = sorted(set(data) - {"segments", "lines", "f_floor_hz"})
+            if unknown:
+                raise ValidationError(f"bad PSD model config: unknown key {unknown[0]!r}; "
+                                      f"the keys are 'segments', 'lines' and 'f_floor_hz'")
             return cls(
                 segments=tuple(PsdSegment(**s) for s in data["segments"]),
                 lines=tuple(PsdLine(**l) for l in data.get("lines", [])),
-                f_floor_hz=float(data.get("f_floor_hz", 1.0)),
+                f_floor_hz=data.get("f_floor_hz", 1.0),
             )
         except KeyError as exc:
             raise ValidationError(f"bad PSD model config: missing {exc}") from exc
@@ -181,31 +184,20 @@ def default_detector_model() -> PsdModel:
     )
 
 
-def _eighth_hz_psd(model: PsdModel, fs: float) -> PowerSpectrum:
-    """``model`` on the 1/8 Hz grid from 0 Hz to ``fs / 2``."""
-    return model.to_power_spectrum(0.125, int(fs / 2 * 8) + 1)
+_last_psd: tuple = (None, 0, 0.0, None)
 
 
-_last_scale: tuple | None = None
-
-
-def _noise_scale(model: PsdModel, n: int, fs: float) -> np.ndarray:
-    """Per-bin amplitude sqrt(PSD * n * fs / 2), reused for the same inputs.
+def _model_psd(model: PsdModel, n: int, fs: float) -> PowerSpectrum:
+    """``model`` on the rfft grid of ``n`` samples at ``fs``; the last one is reused.
 
     Exact reuse: a PsdModel is frozen and built from frozen parts, so the
     same object always evaluates to the same grid.
     """
-    global _last_scale
-    last = _last_scale
-    if last is not None:
-        last_model, last_n, last_fs, scale = last
-        if last_model is model and last_n == n and last_fs == fs:
-            return scale
-    freqs = np.arange(n // 2 + 1) * (fs / n)
-    scale = np.sqrt(model.evaluate(freqs) * n * fs / 2.0)
-    scale.setflags(write=False)
-    _last_scale = (model, n, fs, scale)
-    return scale
+    global _last_psd
+    last = _last_psd
+    if not (last[0] is model and last[1:3] == (n, fs)):
+        last = _last_psd = (model, n, fs, model.to_power_spectrum(fs / n, n // 2 + 1))
+    return last[3]
 
 
 def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> TimeSeries:
@@ -220,7 +212,7 @@ def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> Tim
         raise ValidationError("duration * fs must be at least 2 samples")
     rng = rng_for(seed)
     n_f = n // 2 + 1
-    scale = _noise_scale(model, n, fs)
+    scale = np.sqrt(_model_psd(model, n, fs).values * n * fs / 2.0)
     re = rng.standard_normal(n_f)
     im = rng.standard_normal(n_f)
     # real Nyquist bin; one-sided density there has no factor 2

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwxlab import TimeSeries, load_strain, save_strain, scenarios, stock_template
+from gwxlab import (PsdLine, PsdModel, PsdSegment, TimeSeries, default_detector_model,
+                    detect_lines, load_strain, save_strain, scenarios, stock_template,
+                    whiten_full, whiten_localized)
 from gwxlab.cli import main
 
 FS = 1024.0
@@ -84,6 +87,28 @@ class TestBasicCommands:
                    "--line-window-hz", "8", "--out", str(tmp_path)) == 0
         assert (tmp_path / "whitened.gwx").exists()
 
+    @pytest.mark.parametrize("n", [6000, 8191])
+    @pytest.mark.parametrize("whiten", ["full", "localized"])
+    def test_whiten_psd_model_uses_the_strain_grid(self, tmp_path, n, whiten):
+        # a model PSD is evaluated on the strain's own rfft grid, not resampled
+        strain = TimeSeries(FS, 0.0, np.random.default_rng(4).standard_normal(n))
+        save_strain(strain, tmp_path / "s.gwx")
+        model = PsdModel(segments=(PsdSegment(10.0, 1.0, -2.0),),
+                         lines=(PsdLine(60.0, 1e3, 0.5), PsdLine(120.0, 1e3, 0.5)))
+        (tmp_path / "m.json").write_text(json.dumps(dataclasses.asdict(model)))
+        for arg, used in (("model", default_detector_model()),
+                          (f"model:{tmp_path / 'm.json'}", model)):
+            assert run("whiten", "--strain", str(tmp_path / "s.gwx"), "--psd", arg,
+                       "--whiten", whiten, "--out", str(tmp_path)) == 0
+            psd = used.to_power_spectrum(FS / n, n // 2 + 1)
+            if whiten == "full":
+                want = whiten_full(strain, psd)
+            else:
+                want = whiten_localized(strain, psd, detect_lines(psd))
+            save_strain(want, tmp_path / "want.gwx")
+            assert (tmp_path / "whitened.gwx").read_bytes() == \
+                (tmp_path / "want.gwx").read_bytes(), arg
+
     def test_mf_outputs(self, tmp_path, noise_file, template_file, capsys):
         code = run("mf", "--strain", str(noise_file), "--template", str(template_file),
                    "--psd", "model", "--mode", "cyclic_prefix", "--no-reweight",
@@ -139,7 +164,7 @@ class TestScenarioCommand:
         assert run("scenario", "list") == 0
         block = capsys.readouterr().out.split("ccf-bogus: ")[1].split("\ncircular-artifact: ")[0]
         assert "    sigma_phase: float = 0.7\n" in block
-        assert "    max_lag: float | None = None\n" in block
+        assert "    max_lag: Positive | None = None\n" in block
         assert block.endswith("    inputs: template")
 
     def test_run_writes_reports(self, tmp_path, capsys):
@@ -323,11 +348,11 @@ class TestWrongShapeJson:
                           '"f_floor_hz": "x"}')
         assert run("noise", "--duration", "1", "--config", str(config),
                    "--out", str(tmp_path)) == 2
-        assert "bad PSD model config" in capsys.readouterr().err
+        assert "model needs a positive finite f_floor_hz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": "x"}',
-         "bad PSD model config: could not convert string to float: 'x'"),
+         "model needs a positive finite f_floor_hz; got f_floor_hz='x'"),
         ('{"lines": []}', "bad PSD model config: missing 'segments'"),
         ('{"segments": [{"f_hz": 1.0, "level": Infinity, "slope": 0.0}]}',
          "segment needs positive finite f_hz and level, finite slope"),
@@ -340,9 +365,25 @@ class TestWrongShapeJson:
          '"lines": [{"f_hz": 60.0, "ratio": 1%s, "width_hz": 0.5}]}' % ("0" * 400),
          "line needs positive finite f_hz, ratio, width_hz; got ratio=1000"),
         ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": 1%s}'
-         % ("0" * 400), "bad PSD model config: int too large to convert to float"),
+         % ("0" * 400), "model needs a positive finite f_floor_hz; got f_floor_hz=1000"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": NaN}',
+         "model needs a positive finite f_floor_hz; got f_floor_hz=nan"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": Infinity}',
+         "model needs a positive finite f_floor_hz; got f_floor_hz=inf"),
+        # a string or a bool was read as a number before
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": "2"}',
+         "model needs a positive finite f_floor_hz; got f_floor_hz='2'"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": true}',
+         "model needs a positive finite f_floor_hz; got f_floor_hz=True"),
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "f_floor_hz": 0}',
+         "model needs a positive finite f_floor_hz; got f_floor_hz=0"),
+        # a misspelt key would drop what it holds
+        ('{"segments": [{"f_hz": 1.0, "level": 1.0, "slope": 0.0}], "line": []}',
+         "bad PSD model config: unknown key 'line'; the keys are 'segments', 'lines' "
+         "and 'f_floor_hz'"),
     ], ids=["floor", "no-segments", "non-finite-level", "huge-level", "huge-slope",
-            "huge-ratio", "huge-floor"])
+            "huge-ratio", "huge-floor", "nan-floor", "inf-floor", "string-floor",
+            "bool-floor", "zero-floor", "unknown-key"])
     def test_psd_model_errors_name_the_file(self, tmp_path, capsys, text, message):
         config = tmp_path / "model.json"
         config.write_text(text)
@@ -400,15 +441,37 @@ class TestWrongShapeJson:
         ("h1l1-ccf", {"window": -1}, "option 'window' must be a positive finite number, got -1"),
         ("window-compare", {"long_window": -1}, "option 'long_window' must be a positive "
                                                 "finite number, got -1"),
+        ("h1l1-ccf", {"max_lag": 0}, "option 'max_lag' must be a positive finite number, got 0"),
+        ("ccf-bogus", {"max_lag": -1}, "option 'max_lag' must be a positive finite number"),
+        ("ref-systems", {"max_lag": 0}, "option 'max_lag' must be a positive finite number"),
+        ("window-compare", {"long_max_lag": 0}, "option 'long_max_lag' must be a positive "
+                                                "finite number, got 0"),
+        ("mf-sine-misfire", {"burst_at": -1}, "option 'burst_at' must lie in "
+                                              "[0, block_len - burst_duration] = [0, 31.0] s, "
+                                              "got -1"),
+        ("mf-awgn-misfire", {"burst_at": 31.5}, "option 'burst_at' must lie in "
+                                                "[0, block_len - burst_duration] = [0, 31.0] s, "
+                                                "got 31.5"),
+        ("mf-sine-misfire", {"block_len": 4.0, "burst_duration": 5.0},
+         "option 'burst_at' must lie in [0, block_len - burst_duration] = [0, -1.0] s"),
     ], ids=["sine-block_len", "awgn-block_len", "span", "artifact-block_len-0",
             "artifact-block_len-neg", "sine-burst_duration-neg", "awgn-burst_duration-neg",
-            "h1l1-window-neg", "window-compare-long_window-neg"])
-    def test_out_of_range_option_values(self, tmp_path, capsys, name, options, message):
+            "h1l1-window-neg", "window-compare-long_window-neg", "h1l1-max_lag-0",
+            "ccf-bogus-max_lag-neg", "ref-systems-max_lag-0", "window-compare-long_max_lag-0",
+            "sine-burst_at-neg", "awgn-burst_at-late", "sine-burst-longer-than-block"])
+    def test_out_of_range_option_values(self, tmp_path, capsys, monkeypatch, name, options,
+                                        message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for stage in ("colored_noise", "matched_filter", "normalized_ccf"):
+            monkeypatch.setattr(scenarios, stage, no_work)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": options}))
         assert run("scenario", "run", name, "--trials", "1",
                    "--config", str(config), "--out", str(tmp_path)) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "trial 0" not in err
 
 
 NON_FINITE_FLAGS = [

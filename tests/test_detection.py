@@ -1,5 +1,7 @@
 import re
 import sys
+import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -452,6 +454,36 @@ class TestPlanReuse:
         detection._plan_for.cache_clear()
         got = matched_filter(strain, tpl, flat_psd(), cfg)
         np.testing.assert_array_equal(got.rho_reweighted, want.rho_reweighted)
+
+    def test_threads_on_a_cold_cache_build_one_plan(self, monkeypatch):
+        tpl = stock_template("gw150914", FS).base
+        strain = TimeSeries(FS, 0.0, rng_for(96).standard_normal(int(2 * FS)))
+        psd, cfg = flat_psd(), MfConfig(block_len=None, reweight_bins=16)
+        builds = []
+        real = detection._MfPlan
+
+        def slow_plan(*args):
+            builds.append(args)
+            time.sleep(0.05)  # the other thread reaches the cache meanwhile
+            return real(*args)
+
+        monkeypatch.setattr(detection, "_MfPlan", slow_plan)
+        detection._plan_for.cache_clear()
+        start = threading.Barrier(2)
+        out = [None, None]
+
+        def lane(k):
+            start.wait()
+            out[k] = matched_filter(strain, tpl, psd, cfg)
+
+        threads = [threading.Thread(target=lane, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        detection._plan_for.cache_clear()
+        assert not any(t.is_alive() for t in threads) and len(builds) == 1
+        np.testing.assert_array_equal(out[0].rho_reweighted, out[1].rho_reweighted)
 
 
 def prefixed_chi2_oracle(strain, template, psd, n_bins):

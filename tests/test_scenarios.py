@@ -21,12 +21,16 @@ from gwxlab import (
     ValidationError,
     colored_noise,
     default_detector_model,
+    butterworth_bandpass,
     emit_report,
     false_alarm_rate,
     monte_carlo,
+    normalized_ccf,
     run_scenario,
     save_strain,
     scenario_descriptions,
+    slice_window,
+    whiten_full,
 )
 from gwxlab import lanes, scenarios
 from gwxlab.cli import main
@@ -470,6 +474,41 @@ def test_h1l1_ccf_file_inputs(tmp_path):
     for f in (tmp_path / "a").iterdir():
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
+
+def test_h1l1_ccf_file_mode_whitens_on_each_file_grid(tmp_path):
+    # files of different lengths, one odd: each is whitened against the
+    # model evaluated on its own rfft grid
+    model = default_detector_model()
+    strains, inputs = [], {}
+    for key, seed, duration in (("strain_a", 1, 4.0), ("strain_b", 2, 4.0 + 1 / 4096.0)):
+        strains.append(colored_noise(model, duration, 4096.0, seed=seed))
+        inputs[key] = str(tmp_path / f"{key}.gwx")
+        save_strain(strains[-1], inputs[key])
+    res = run_scenario(ScenarioConfig(name="h1l1-ccf", seed_base=5, inputs=inputs))
+    event_at = res.summary["event_at_s"]
+    windows = []
+    for ts in strains:
+        white = whiten_full(ts, model.to_power_spectrum(ts.fs / ts.n, ts.n // 2 + 1))
+        windows.append(slice_window(butterworth_bandpass(white, 43.0, 300.0), event_at, 0.2))
+    want = normalized_ccf(*windows, max_lag=0.1)
+    lags, values = res.figures["ccf.csv"][1].columns
+    assert values.tobytes() == want.values.tobytes() and lags.tobytes() == want.lags.tobytes()
+
+
+def test_h1l1_ccf_whitening_flattens_the_mains_lines():
+    # on a 1 Hz grid the 0.5 Hz-wide lines come out at a mean power of
+    # about 1.22-1.27; on the series' own grid they are whitened
+    model = default_detector_model()
+    power = {(59.0, 61.0): [], (119.0, 121.0): []}
+    for seed in range(20):
+        ts = colored_noise(model, 32.0, 4096.0, seed=seed)
+        white = scenarios._whiten_and_band(ts, model, (43.0, 300.0))
+        spec = np.abs(np.fft.rfft(white.samples)) ** 2 / white.n
+        f = np.fft.rfftfreq(white.n, 1.0 / white.fs)
+        for (lo, hi), acc in power.items():
+            acc.append(spec[(f >= lo) & (f <= hi)])
+    for band, acc in power.items():
+        assert np.mean(np.concatenate(acc)) == pytest.approx(1.0, abs=0.05), band
 
 
 def test_failed_trial_names_the_seed_base(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,12 +130,45 @@ class TestPsdModel:
                                                       "and level, finite slope"):
                 PsdSegment(*values)
 
-    def test_eighth_hz_grid_reaches_nyquist(self):
-        # the grid of the CLI's model PSDs and of window-compare and
-        # running-baseline, which whiten up to fs / 2
-        for fs in (2048.0, 4096.0, 8192.0):
-            psd = simulation._eighth_hz_psd(default_detector_model(), fs)
-            assert psd.df == 0.125 and psd.frequencies()[-1] == fs / 2
+    @pytest.mark.parametrize("n, fs", [(8192, 2048.0), (131_072, 4096.0), (819, 4096.0),
+                                       (4097, 8192.0)])
+    def test_model_psd_is_the_rfft_grid(self, n, fs):
+        # the grid of every model consumer: the rfft bins of its own series,
+        # up to fs / 2 at even n and half a bin short of it at odd n
+        model = default_detector_model()
+        psd = simulation._model_psd(model, n, fs)
+        assert psd.df == fs / n and psd.values.size == n // 2 + 1
+        np.testing.assert_allclose(psd.frequencies(), np.fft.rfftfreq(n, 1.0 / fs), rtol=1e-15)
+        assert (psd.frequencies()[-1] == fs / 2) == (n % 2 == 0)
+        want = model.evaluate(np.arange(n // 2 + 1) * (fs / n))
+        assert psd.values.tobytes() == want.tobytes()
+        assert simulation._model_psd(model, n, fs) is psd
+
+    def test_threads_on_alternating_grids_each_get_their_own(self):
+        # the lanes share the last evaluation; none may read another grid's
+        model = default_detector_model()
+        sizes = (2048, 2049, 4096, 4097)
+        want = {n: model.to_power_spectrum(4096.0 / n, n // 2 + 1).values.tobytes()
+                for n in sizes}
+        wrong = []
+
+        def lane(k):
+            for i in range(200):
+                n = sizes[(k + i) % len(sizes)]
+                if simulation._model_psd(model, n, 4096.0).values.tobytes() != want[n]:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lane, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -170,13 +205,13 @@ class TestColoredNoise:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_alternating_models_match_fresh_models(self):
-        # the reused amplitude grid must follow the model object, n and fs
+        # the reused PSD grid must follow the model object, n and fs
         a, b = default_detector_model(), FLAT
         calls = [(a, 2.0, 4096.0), (a, 2.0, 4096.0), (b, 2.0, 4096.0), (b, 3.0, 4096.0),
                  (b, 6.0, 2048.0), (a, 6.0, 2048.0), (b, 6.0, 2048.0), (a, 2.0, 4096.0)]
 
         def uncached(model, duration, fs, seed):
-            simulation._last_scale = None
+            simulation._last_psd = (None, 0, 0.0, None)
             fresh = PsdModel.from_dict(dataclasses.asdict(model))
             return colored_noise(fresh, duration, fs, seed=seed)
 
@@ -188,11 +223,12 @@ class TestColoredNoise:
     @pytest.mark.parametrize("n", [131_072, 12_288, 2048, 4097, 2049])
     def test_spectrum_matches_the_complex_expression(self, n):
         # oracle: the bins built from complex temporaries, as before the
-        # draws were scaled in place; an odd n has no Nyquist bin
+        # draws were scaled in place, with the model evaluated afresh; an
+        # odd n has no Nyquist bin
         def oracle(model, duration, fs, seed):
             n = int(round(duration * fs))
             rng = rng_for(seed)
-            scale = simulation._noise_scale(model, n, fs)
+            scale = np.sqrt(model.evaluate(np.arange(n // 2 + 1) * (fs / n)) * n * fs / 2.0)
             re = rng.standard_normal(n // 2 + 1)
             im = rng.standard_normal(n // 2 + 1)
             bins = (re + 1j * im) / math.sqrt(2.0) * scale
