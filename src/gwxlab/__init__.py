@@ -44,12 +44,11 @@ from .simulation import (
     PsdLine,
     PsdModel,
     PsdSegment,
-    awgn_burst,
+    burst,
     colored_noise,
     default_detector_model,
     inject,
     line_interference,
-    sine_burst,
 )
 from .scenarios import (
     SCENARIO_NAMES,

@@ -32,6 +32,10 @@ from .scenarios import (
     SCENARIOS,
     FalseAlarmParams,
     ScenarioConfig,
+    _ccf_figure,
+    _running_figure,
+    _snr_figure,
+    _write_figure,
     emit_report,
     false_alarm_rate,
     run_scenario,
@@ -44,7 +48,6 @@ from .series import (
     _finite,
     _json_text,
     _read_json,
-    _write_csv,
     _write_json,
     load_psd_csv,
     load_strain,
@@ -175,9 +178,7 @@ def _cmd_mf(args) -> int:
         band=args.band,
     )
     snr = matched_filter(strain, template, psd, cfg)
-    path = _out_path(args, "snr.csv")
-    _write_csv(path, ["t_s", "rho", "rho_reweighted"],
-               [snr.times(), snr.rho, snr.rho_reweighted])
+    _write_figure(_out_path(args, "snr.csv"), _snr_figure(snr))
     _emit_json({
         "peak_time_s": snr.peak.time,
         "peak_rho_reweighted": snr.peak.value,
@@ -193,8 +194,7 @@ def _cmd_ccf(args) -> int:
     a = load_strain(args.a)
     b = load_strain(args.b)
     ccf = normalized_ccf(a, b, max_lag=args.max_lag, tau0=args.tau0)
-    path = _out_path(args, "ccf.csv")
-    _write_csv(path, ["lag_s", "ccf"], [ccf.lags, ccf.values])
+    _write_figure(_out_path(args, "ccf.csv"), _ccf_figure(ccf))
     _emit_json({
         "peak_lag_s": ccf.peak_lag,
         "peak_ccf": ccf.peak_value,
@@ -212,9 +212,7 @@ def _cmd_running_ccf(args) -> int:
     tau0 = decorrelation_time(template)
     scan = running_window_ccf(long_ts, template, hop=args.hop,
                               exclusions=args.exclude, tau0=tau0)
-    path = _out_path(args, "running.csv")
-    _write_csv(path, ["t_start_s", "peak_abs_ccf", "r3"],
-               [scan.t_start, scan.peak_abs_ccf, scan.r3])
+    _write_figure(_out_path(args, "running.csv"), _running_figure(scan))
     _emit_json({
         "n_windows": len(scan),
         "max_peak_abs_ccf": float(np.max(scan.peak_abs_ccf)),

@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .lanes import run_lanes
-from .series import PowerSpectrum, TimeSeries, _finite, _readonly_f64
+from .series import PowerSpectrum, TimeSeries, _check_rate, _finite, _readonly_f64
 
 __all__ = [
     "MfConfig",
@@ -259,10 +259,7 @@ def _band_mask(n_onesided: int, df: float, band) -> np.ndarray:
 
 
 def _check_block(strain: TimeSeries, template: TimeSeries, cfg: MfConfig) -> None:
-    if abs(strain.fs - template.fs) > 1e-9 * strain.fs:
-        raise ValidationError(
-            f"sample-rate mismatch: strain {strain.fs} Hz, template {template.fs} Hz"
-        )
+    _check_rate(strain.fs, template.fs, "strain, template")
     n, nt = strain.n, template.n
     if nt > n:
         raise ValidationError(f"template ({nt} samples) longer than strain ({n})")
@@ -553,8 +550,7 @@ def decorrelation_time(template: TimeSeries) -> float:
 def _lag_samples(fs: float, n: int, reference: TimeSeries, max_lag: float) -> int:
     """Half-width in samples of the lag grid for an ``n``-sample window at
     ``fs`` against ``reference``, once the pair and the range are checked."""
-    if abs(fs - reference.fs) > 1e-9 * fs:
-        raise ValidationError(f"sample-rate mismatch: {fs} vs {reference.fs} Hz")
+    _check_rate(fs, reference.fs, "window, reference")
     if n != reference.n:
         raise ValidationError(
             f"windows must have equal duration: {n} vs {reference.n} samples"

@@ -42,12 +42,11 @@ from .simulation import (
     PsdLine,
     PsdModel,
     _model_psd,
-    awgn_burst,
+    burst,
     colored_noise,
     default_detector_model,
     inject,
     line_interference,
-    sine_burst,
 )
 from .templates import BogusSpec, load_template, make_bogus, stock_template, template_error
 
@@ -253,6 +252,11 @@ class _Columns:
         return zip(*(np.asarray(col).tolist() for col in self.columns))
 
 
+def _write_figure(path: str, figure: tuple[list[str], _Columns]) -> None:
+    header, table = figure
+    _write_csv(path, header, table.columns)
+
+
 def _snr_figure(snr) -> tuple[list[str], _Columns]:
     return ["t_s", "rho", "rho_reweighted"], _Columns(snr.times(), snr.rho,
                                                        snr.rho_reweighted)
@@ -262,24 +266,30 @@ def _ccf_figure(ccf) -> tuple[list[str], _Columns]:
     return ["lag_s", "ccf"], _Columns(ccf.lags, ccf.values)
 
 
-def _misfire_scenario(cfg: ScenarioConfig, make_burst, burst_duration: float, *,
+def _running_figure(scan) -> tuple[list[str], _Columns]:
+    return ["t_start_s", "peak_abs_ccf", "r3"], _Columns(scan.t_start, scan.peak_abs_ccf,
+                                                          scan.r3)
+
+
+def _misfire_scenario(cfg: ScenarioConfig, spec: BurstSpec, *,
                       block_len: Positive = 32.0, template_kind: str = "gw150914",
                       chi2_bins: int | None = 16, mf_mode: str = "circular",
                       band: tuple[float, float] | None = None,
                       burst_at: float = 15.5) -> ScenarioResult:
     """Low-amplitude burst against the chirp template, 32 s blocks.
 
-    The two misfire scenarios build ``make_burst(noise, seed)`` from their
-    burst options and pass the burst's duration and the shared options on.
+    The two misfire scenarios build the burst's ``spec`` from their burst
+    options, before any trial, and pass it and the shared options on; each
+    trial draws its burst with a seed derived from its own (a sine ignores it).
     The verdict statistic is the plain peak SNR (reweighting disabled in
     this scenario's detection config): the chi-squared consistency veto,
     kept as a diagnostic, suppresses narrowband bursts so strongly that the
     misfire would be invisible through it.  ``fired_fraction_chi2`` in the
     summary reports the vetoed variant.
     """
-    if not 0.0 <= burst_at <= block_len - burst_duration:
+    if not 0.0 <= burst_at <= block_len - spec.duration:
         raise ValidationError(f"option 'burst_at' must lie in [0, block_len - burst_duration]"
-                              f" = [0, {block_len - burst_duration}] s, got {burst_at!r}")
+                              f" = [0, {block_len - spec.duration}] s, got {burst_at!r}")
     model = _psd_model(cfg)
     tpl, _ = _template_for(cfg, template_kind)
     psd = _model_psd(model, int(round(block_len * cfg.fs)), cfg.fs)
@@ -288,7 +298,8 @@ def _misfire_scenario(cfg: ScenarioConfig, make_burst, burst_duration: float, *,
 
     def trial(k: int, seed: int) -> TrialReport:
         noise = colored_noise(model, block_len, cfg.fs, seed=seed)
-        strain = inject(noise, make_burst(noise, seed), burst_at)
+        strain = inject(noise, burst(replace(spec, seed=derive_seed(seed, 0xB0B)), noise),
+                        burst_at)
         snr = matched_filter(strain, tpl.base, psd, mf_cfg)
         peak_plain = float(np.max(snr.rho))
         peak_chi2 = float(np.max(snr.rho_reweighted))
@@ -317,21 +328,17 @@ def _psd_model(cfg: ScenarioConfig) -> PsdModel:
 
 
 def _scenario_mf_sine(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
-                      sigma_ratio: float = 0.01, burst_f0: float = 64.0,
-                      decay_tau: float | None = 0.25, **shared) -> ScenarioResult:
-    spec = BurstSpec(kind="sine_decay", duration=burst_duration, sigma_ratio=sigma_ratio,
-                     f0=burst_f0, decay_tau=decay_tau)
-    return _misfire_scenario(cfg, lambda noise, seed: sine_burst(spec, ref=noise),
-                             burst_duration, **shared)
+                      sigma_ratio: Positive = 0.01, burst_f0: Positive = 64.0,
+                      decay_tau: Positive | None = 0.25, **shared) -> ScenarioResult:
+    return _misfire_scenario(cfg, BurstSpec(kind="sine_decay", duration=burst_duration,
+                                            sigma_ratio=sigma_ratio, f0=burst_f0,
+                                            decay_tau=decay_tau), **shared)
 
 
 def _scenario_mf_awgn(cfg: ScenarioConfig, *, burst_duration: Positive = 1.0,
-                      sigma_ratio: float = 0.002, **shared) -> ScenarioResult:
-    def make_burst(noise: TimeSeries, seed: int) -> TimeSeries:
-        return awgn_burst(BurstSpec(kind="awgn", duration=burst_duration, sigma_ratio=sigma_ratio,
-                                    seed=derive_seed(seed, 0xB0B)), ref=noise)
-
-    return _misfire_scenario(cfg, make_burst, burst_duration, **shared)
+                      sigma_ratio: Positive = 0.002, **shared) -> ScenarioResult:
+    return _misfire_scenario(cfg, BurstSpec(kind="awgn", duration=burst_duration,
+                                            sigma_ratio=sigma_ratio), **shared)
 
 
 def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
@@ -547,7 +554,7 @@ def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150
 
 
 def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
-                                line_ratio: float = 1e4, line_amp_rel: float = 3.0,
+                                line_ratio: Positive = 1e4, line_amp_rel: float = 3.0,
                                 band: tuple[float, float] = (43.0, 300.0),
                                 span: Positive = 8.0) -> ScenarioResult:
     """Template plus strong mains interference, whitened both ways; the
@@ -629,10 +636,7 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
         spans = [*exclusions, (0.0, edge_exclusion), (duration - edge_exclusion, duration)]
         scan = running_window_ccf(processed, tpl_proc, hop=hop, exclusions=spans, tau0=tau0)
         if k == 0:
-            figures["running.csv"] = (
-                ["t_start_s", "peak_abs_ccf", "r3"],
-                _Columns(scan.t_start, scan.peak_abs_ccf, scan.r3),
-            )
+            figures["running.csv"] = _running_figure(scan)
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=float(np.max(scan.peak_abs_ccf)),
                            r3=float(np.median(scan.r3)),
@@ -772,8 +776,8 @@ def emit_report(result: ScenarioResult, out_dir: str | os.PathLike) -> list[str]
     _write_csv(path, _TRIAL_COLUMNS + extra_keys, list(zip(*rows)))
     written.append(path)
 
-    for name, (header, table) in sorted(result.figures.items()):
+    for name, figure in sorted(result.figures.items()):
         path = os.path.join(out_dir, name)
-        _write_csv(path, header, table.columns)
+        _write_figure(path, figure)
         written.append(path)
     return written

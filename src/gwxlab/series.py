@@ -72,6 +72,12 @@ def _readonly_f64(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_rate(fs_a: float, fs_b: float, what: str) -> None:
+    """Refuse two sample rates further apart than 1e-9 of ``fs_a``; ``what`` names the pair."""
+    if abs(fs_a - fs_b) > 1e-9 * fs_a:
+        raise ValidationError(f"sample-rate mismatch ({what}): {fs_a} vs {fs_b} Hz")
+
+
 def _finite(x) -> bool:
     """True for a finite real number that is not a bool."""
     try:

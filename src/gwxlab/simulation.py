@@ -8,6 +8,7 @@ which gives exact spectral control and bit-reproducible output per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import PowerSpectrum, TimeSeries, _finite, _read_json
+from .series import PowerSpectrum, TimeSeries, _check_rate, _finite, _read_json
 
 __all__ = [
     "PsdSegment",
@@ -25,8 +26,7 @@ __all__ = [
     "BurstSpec",
     "default_detector_model",
     "colored_noise",
-    "sine_burst",
-    "awgn_burst",
+    "burst",
     "line_interference",
     "inject",
 ]
@@ -184,20 +184,14 @@ def default_detector_model() -> PsdModel:
     )
 
 
-_last_psd: tuple = (None, 0, 0.0, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _model_psd(model: PsdModel, n: int, fs: float) -> PowerSpectrum:
-    """``model`` on the rfft grid of ``n`` samples at ``fs``; the last one is reused.
+    """``model`` on the rfft grid of ``n`` samples at ``fs``; the last one is kept.
 
-    Exact reuse: a PsdModel is frozen and built from frozen parts, so the
-    same object always evaluates to the same grid.
+    Exact reuse: a PsdModel is frozen and built from frozen parts, so an
+    equal model always evaluates to the same grid.
     """
-    global _last_psd
-    last = _last_psd
-    if not (last[0] is model and last[1:3] == (n, fs)):
-        last = _last_psd = (model, n, fs, model.to_power_spectrum(fs / n, n // 2 + 1))
-    return last[3]
+    return model.to_power_spectrum(fs / n, n // 2 + 1)
 
 
 def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> TimeSeries:
@@ -261,45 +255,27 @@ class BurstSpec:
             raise ValidationError("decay_tau must be positive or None")
 
 
-def _ref_std(ref: TimeSeries) -> float:
-    std = float(np.std(ref.samples))
+def burst(spec: BurstSpec, ref: TimeSeries) -> TimeSeries:
+    """``spec``'s burst scaled to ``sigma_ratio * std(ref)`` exactly: a sine
+    under its envelope for ``sine_decay``, white Gaussian draws for ``awgn``."""
+    fs = ref.fs
+    n = int(round(spec.duration * fs))
+    if n < 2:
+        raise ValidationError("burst shorter than two samples")
+    if spec.kind == "awgn":
+        x = rng_for(spec.seed).standard_normal(n)
+    else:
+        t = np.arange(n) / fs
+        x = np.sin(2.0 * np.pi * spec.f0 * t)
+        if spec.decay_tau is not None:
+            x = x * np.exp(-t / spec.decay_tau)
+    std = float(np.std(x))
     if std <= 0.0:
+        raise DegeneracyError(f"{spec.kind} burst has zero standard deviation")
+    ref_std = float(np.std(ref.samples))
+    if ref_std <= 0.0:
         raise DegeneracyError("reference series has zero standard deviation")
-    return std
-
-
-def sine_burst(spec: BurstSpec, ref: TimeSeries) -> TimeSeries:
-    """Decaying sine scaled to ``sigma_ratio * std(ref)`` exactly."""
-    if spec.kind != "sine_decay":
-        raise ValidationError(f"expected a sine_decay spec, got {spec.kind!r}")
-    fs = ref.fs
-    n = int(round(spec.duration * fs))
-    if n < 2:
-        raise ValidationError("burst shorter than two samples")
-    t = np.arange(n) / fs
-    x = np.sin(2.0 * np.pi * spec.f0 * t)
-    if spec.decay_tau is not None:
-        x = x * np.exp(-t / spec.decay_tau)
-    std = float(np.std(x))
-    if std <= 0.0:
-        raise DegeneracyError("burst waveform has zero standard deviation")
-    x *= spec.sigma_ratio * _ref_std(ref) / std
-    return TimeSeries(fs=fs, t0=0.0, samples=x)
-
-
-def awgn_burst(spec: BurstSpec, ref: TimeSeries) -> TimeSeries:
-    """White Gaussian burst scaled to ``sigma_ratio * std(ref)`` exactly."""
-    if spec.kind != "awgn":
-        raise ValidationError(f"expected an awgn spec, got {spec.kind!r}")
-    fs = ref.fs
-    n = int(round(spec.duration * fs))
-    if n < 2:
-        raise ValidationError("burst shorter than two samples")
-    x = rng_for(spec.seed).standard_normal(n)
-    std = float(np.std(x))
-    if std <= 0.0:
-        raise DegeneracyError("burst draw has zero standard deviation")
-    x *= spec.sigma_ratio * _ref_std(ref) / std
+    x *= spec.sigma_ratio * ref_std / std
     return TimeSeries(fs=fs, t0=0.0, samples=x)
 
 
@@ -328,10 +304,7 @@ def line_interference(
 
 def inject(host: TimeSeries, signal: TimeSeries, t_at: float) -> TimeSeries:
     """Add ``signal`` into ``host`` starting at time ``t_at`` (sample-snapped)."""
-    if abs(host.fs - signal.fs) > 1e-9 * host.fs:
-        raise ValidationError(
-            f"sample-rate mismatch: host {host.fs} Hz, signal {signal.fs} Hz"
-        )
+    _check_rate(host.fs, signal.fs, "host, signal")
     j = int(round((t_at - host.t0) * host.fs))
     if j < 0 or j + signal.n > host.n:
         raise ValidationError(

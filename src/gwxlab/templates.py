@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import (TimeSeries, _finite, _json_text, _read_json, _write_json, load_strain,
-                     save_strain)
+from .series import (TimeSeries, _check_rate, _finite, _json_text, _read_json, _write_json,
+                     load_strain, save_strain)
 
 __all__ = [
     "Template",
@@ -167,10 +167,7 @@ def template_error(ideal: TimeSeries, candidate: TimeSeries) -> tuple[TimeSeries
         raise ValidationError(
             f"length mismatch: {ideal.n} vs {candidate.n} samples"
         )
-    if abs(ideal.fs - candidate.fs) > 1e-9 * ideal.fs:
-        raise ValidationError(
-            f"sample-rate mismatch: {ideal.fs} vs {candidate.fs} Hz"
-        )
+    _check_rate(ideal.fs, candidate.fs, "ideal, candidate")
     err = ideal.samples - candidate.samples
     denom = float(np.linalg.norm(ideal.samples))
     if denom <= 0.0:
@@ -206,15 +203,13 @@ def _inspiral_chirp(
     f_start: float,
     f_end: float,
     carrier_f0: float = 0.0,
-    amp_exponent: float = 1.0,
-    taper: float = 0.10,
 ) -> Template:
     """Monotone upward frequency sweep with rising envelope.
 
     Frequency follows the inspiral-style law
     ``f(t) = (f_start**(-8/3) + (f_end**(-8/3) - f_start**(-8/3)) * t/T)**(-3/8)``
-    and the envelope grows as ``f(t)**amp_exponent`` under a cosine edge
-    taper (``taper`` is the total tapered fraction, 5% per edge).
+    and the envelope grows as ``f(t)`` under a cosine edge taper over 10%
+    of the samples, 5% per edge.
     """
     n = int(round(duration * fs))
     if n < 8:
@@ -224,8 +219,7 @@ def _inspiral_chirp(
     a, b = f_start ** (-8.0 / 3.0), f_end ** (-8.0 / 3.0)
     freq = (a + (b - a) * tau) ** (-3.0 / 8.0)
     total_phase = 2.0 * np.pi * _cumulative_trapezoid(freq, t)
-    envelope = (freq / f_end) ** amp_exponent
-    envelope *= _tukey(n, taper)
+    envelope = freq / f_end * _tukey(n, 0.10)
     phase = total_phase - 2.0 * np.pi * carrier_f0 * t
     base = _synthesize(fs, 0.0, phase, envelope, carrier_f0)
     return Template(base=base, phase=phase, envelope=envelope, f0=carrier_f0)

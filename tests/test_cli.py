@@ -454,11 +454,32 @@ class TestWrongShapeJson:
                                                 "got 31.5"),
         ("mf-sine-misfire", {"block_len": 4.0, "burst_duration": 5.0},
          "option 'burst_at' must lie in [0, block_len - burst_duration] = [0, -1.0] s"),
+        ("mf-sine-misfire", {"sigma_ratio": 0}, "option 'sigma_ratio' must be a positive "
+                                                "finite number, got 0"),
+        ("mf-awgn-misfire", {"sigma_ratio": -1}, "option 'sigma_ratio' must be a positive "
+                                                 "finite number, got -1"),
+        ("mf-awgn-misfire", {"sigma_ratio": 0, "block_len": 8.0, "burst_at": 3.0},
+         "option 'sigma_ratio' must be a positive finite number, got 0"),
+        ("mf-sine-misfire", {"burst_f0": 0}, "option 'burst_f0' must be a positive finite "
+                                             "number, got 0"),
+        ("mf-sine-misfire", {"burst_f0": -1}, "option 'burst_f0' must be a positive finite "
+                                              "number, got -1"),
+        ("mf-sine-misfire", {"decay_tau": 0}, "option 'decay_tau' must be a positive finite "
+                                              "number, got 0"),
+        ("mf-sine-misfire", {"decay_tau": -1}, "option 'decay_tau' must be a positive finite "
+                                               "number, got -1"),
+        ("whiten-distortion", {"line_ratio": 0}, "option 'line_ratio' must be a positive "
+                                                 "finite number, got 0"),
+        ("whiten-distortion", {"line_ratio": -1}, "option 'line_ratio' must be a positive "
+                                                  "finite number, got -1"),
     ], ids=["sine-block_len", "awgn-block_len", "span", "artifact-block_len-0",
             "artifact-block_len-neg", "sine-burst_duration-neg", "awgn-burst_duration-neg",
             "h1l1-window-neg", "window-compare-long_window-neg", "h1l1-max_lag-0",
             "ccf-bogus-max_lag-neg", "ref-systems-max_lag-0", "window-compare-long_max_lag-0",
-            "sine-burst_at-neg", "awgn-burst_at-late", "sine-burst-longer-than-block"])
+            "sine-burst_at-neg", "awgn-burst_at-late", "sine-burst-longer-than-block",
+            "sine-sigma_ratio-0", "awgn-sigma_ratio-neg", "awgn-sigma_ratio-0-short-block",
+            "sine-burst_f0-0", "sine-burst_f0-neg", "sine-decay_tau-0", "sine-decay_tau-neg",
+            "whiten-distortion-line_ratio-0", "whiten-distortion-line_ratio-neg"])
     def test_out_of_range_option_values(self, tmp_path, capsys, monkeypatch, name, options,
                                         message):
         def no_work(*args, **kwargs):

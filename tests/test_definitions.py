@@ -58,3 +58,57 @@ def test_a_planted_orphan_is_found():
     sources[f"{PACKAGE}/planted.py"] = "PLANTED_TABLE = {}\n"
     assert orphans(sources) == [(path, "PlantedRecord"), (f"{PACKAGE}/planted.py",
                                                          "PLANTED_TABLE")]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """``(function, parameter, position)`` of each positional parameter with a
+    default in a private function; ``position`` skips a method's ``self``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            continue
+        params = [*node.args.posonlyargs, *node.args.args]
+        skip = 1 if params and params[0].arg in ("self", "cls") else 0
+        for index in range(len(params) - len(node.args.defaults), len(params)):
+            yield node.name, params[index].arg, index - skip
+
+
+def _passes(call: ast.Call, name: str, position: int) -> bool:
+    """Whether ``call`` may set the parameter ``name`` at ``position``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return (len(call.args) > position
+            or any(kw.arg in (name, None) for kw in call.keywords))
+
+
+def unset_parameters(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """``(path, function, parameter)`` of each defaulted positional parameter of
+    a private package function that no call passes.  Keyword-only parameters
+    are scenario options, set from JSON, and are not checked."""
+    trees = {path: ast.parse(text, path) for path, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [(path, fn, param) for path, tree in trees.items() if path.startswith(PACKAGE)
+            for fn, param, position in _defaulted_parameters(tree)
+            if not any(_passes(call, param, position) for call in calls.get(fn, []))]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unset_parameters(_sources()) == []
+
+
+def test_a_planted_unset_parameter_is_found():
+    sources = _sources()
+    path = f"{PACKAGE}/simulation.py"
+    sources[path] += ("\n\ndef _planted_scale(x, gain=2.0, offset=0.0, *, option=1.0):\n"
+                      "    return gain * x + offset + option\n"
+                      "\n\nclass _Planted:\n    def _step(self, x, rate=1.0):\n"
+                      "        return x * rate\n"
+                      "\n\nPLANTED = (_planted_scale(1.0, 3.0), _Planted()._step(2.0))\n")
+    assert unset_parameters(sources) == [(path, "_planted_scale", "offset"),
+                                         (path, "_step", "rate")]

@@ -31,6 +31,7 @@ from gwxlab import (
     sigma_norm,
     slice_window,
     stock_template,
+    template_error,
 )
 from gwxlab import detection, lanes
 from gwxlab.conditioning import butterworth_bandpass, whiten_full
@@ -1182,3 +1183,29 @@ class TestBatchedRunningCcf:
             errors.append(got.value)
         assert type(errors[1]) is type(errors[0])
         assert str(errors[1]) == str(errors[0]) == "flat zero CCF has no peak ratio"
+
+
+def _rate_pair(fs_b: float):
+    """Each public function that checks two sample rates, given a second
+    series at ``fs_b`` where the first is at ``FS``."""
+    rng = rng_for(13)
+    a = TimeSeries(FS, 0.0, rng.standard_normal(4096))
+    b = TimeSeries(fs_b, 0.0, rng.standard_normal(1024))
+    return {
+        "matched_filter": lambda: matched_filter(a, b, flat_psd(),
+                                                 MfConfig(block_len=None, reweight_bins=None)),
+        "normalized_ccf": lambda: normalized_ccf(slice_window(a, 0.0, 0.25), b, max_lag=0.05),
+        "running_window_ccf": lambda: running_window_ccf(a, b, hop=0.25),
+        "inject": lambda: inject(a, b, 0.5),
+        "template_error": lambda: template_error(slice_window(a, 0.0, 0.25), b),
+    }
+
+
+@pytest.mark.parametrize("what", sorted(_rate_pair(FS)))
+def test_sample_rate_rule(what):
+    # one rule everywhere: rates agree when within 1e-9 of the first one
+    _rate_pair(FS * (1 + 1e-12))[what]()
+    fs_b = FS * (1 + 1e-6)
+    with pytest.raises(ValidationError, match="sample-rate mismatch") as exc:
+        _rate_pair(fs_b)[what]()
+    assert f"{FS} vs {fs_b} Hz" in str(exc.value)

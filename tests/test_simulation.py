@@ -18,14 +18,13 @@ from gwxlab import (
     PsdSegment,
     TimeSeries,
     ValidationError,
-    awgn_burst,
+    burst,
     colored_noise,
     default_detector_model,
     derive_seed,
     inject,
     line_interference,
     rng_for,
-    sine_burst,
     welch_psd,
 )
 from gwxlab import simulation
@@ -211,7 +210,7 @@ class TestColoredNoise:
                  (b, 6.0, 2048.0), (a, 6.0, 2048.0), (b, 6.0, 2048.0), (a, 2.0, 4096.0)]
 
         def uncached(model, duration, fs, seed):
-            simulation._last_psd = (None, 0, 0.0, None)
+            simulation._model_psd.cache_clear()
             fresh = PsdModel.from_dict(dataclasses.asdict(model))
             return colored_noise(fresh, duration, fs, seed=seed)
 
@@ -267,42 +266,40 @@ class TestBursts:
     def test_sine_std_exact(self):
         ref = unit_ref()
         spec = BurstSpec(kind="sine_decay", duration=1.0, sigma_ratio=0.01, f0=64.0)
-        burst = sine_burst(spec, ref)
-        assert np.std(burst.samples) == pytest.approx(0.01 * np.std(ref.samples), rel=1e-6)
-        assert burst.duration == pytest.approx(1.0)
+        out = burst(spec, ref)
+        assert np.std(out.samples) == pytest.approx(0.01 * np.std(ref.samples), rel=1e-6)
+        assert out.duration == pytest.approx(1.0)
 
     def test_sine_constant_envelope_limit(self):
         ref = unit_ref()
         spec = BurstSpec(kind="sine_decay", duration=0.5, sigma_ratio=1.0, f0=64.0,
                          decay_tau=None)
-        burst = sine_burst(spec, ref)
-        env_start = np.max(np.abs(burst.samples[:256]))
-        env_end = np.max(np.abs(burst.samples[-256:]))
+        out = burst(spec, ref)
+        env_start = np.max(np.abs(out.samples[:256]))
+        env_end = np.max(np.abs(out.samples[-256:]))
         assert env_end == pytest.approx(env_start, rel=0.01)
 
     def test_sine_spectral_peak(self):
         ref = unit_ref()
-        burst = sine_burst(BurstSpec(kind="sine_decay", duration=1.0, sigma_ratio=1.0,
-                                     f0=64.0), ref)
-        spec = np.abs(np.fft.rfft(burst.samples))
+        out = burst(BurstSpec(kind="sine_decay", duration=1.0, sigma_ratio=1.0, f0=64.0), ref)
+        spec = np.abs(np.fft.rfft(out.samples))
         assert np.argmax(spec) == pytest.approx(64, abs=2)
 
     def test_awgn_std_exact(self):
         ref = unit_ref()
         spec = BurstSpec(kind="awgn", duration=1.0, sigma_ratio=1 / 500, seed=5)
-        burst = awgn_burst(spec, ref)
-        assert np.std(burst.samples) == pytest.approx(0.002 * np.std(ref.samples), rel=1e-6)
+        out = burst(spec, ref)
+        assert np.std(out.samples) == pytest.approx(0.002 * np.std(ref.samples), rel=1e-6)
 
     def test_awgn_deterministic(self):
         ref = unit_ref()
         spec = BurstSpec(kind="awgn", duration=0.5, sigma_ratio=0.5, seed=17)
-        np.testing.assert_array_equal(awgn_burst(spec, ref).samples,
-                                      awgn_burst(spec, ref).samples)
+        np.testing.assert_array_equal(burst(spec, ref).samples, burst(spec, ref).samples)
 
     def test_awgn_moments(self):
         ref = TimeSeries(1e6, 0.0, np.ones(2) * 0.0 + [1.0, -1.0])
         spec = BurstSpec(kind="awgn", duration=1.0, sigma_ratio=1.0, seed=23)
-        x = awgn_burst(spec, ref).samples
+        x = burst(spec, ref).samples
         z = (x - x.mean()) / x.std()
         skew = float(np.mean(z**3))
         kurt = float(np.mean(z**4) - 3.0)
@@ -312,12 +309,41 @@ class TestBursts:
     def test_zero_reference(self):
         ref = TimeSeries(4096.0, 0.0, np.zeros(128))
         with pytest.raises(DegeneracyError):
-            sine_burst(BurstSpec(kind="sine_decay", duration=0.1, sigma_ratio=1.0, f0=64.0), ref)
+            burst(BurstSpec(kind="sine_decay", duration=0.1, sigma_ratio=1.0, f0=64.0), ref)
 
-    def test_kind_mismatch(self):
-        ref = unit_ref()
-        with pytest.raises(ValidationError):
-            awgn_burst(BurstSpec(kind="sine_decay", duration=0.1, sigma_ratio=1.0, f0=64.0), ref)
+    @staticmethod
+    def _parent_sine(spec, ref):
+        # the sine generator as it was before one ``burst`` drew both kinds
+        fs = ref.fs
+        n = int(round(spec.duration * fs))
+        t = np.arange(n) / fs
+        x = np.sin(2.0 * np.pi * spec.f0 * t)
+        if spec.decay_tau is not None:
+            x = x * np.exp(-t / spec.decay_tau)
+        x *= spec.sigma_ratio * float(np.std(ref.samples)) / float(np.std(x))
+        return x
+
+    @staticmethod
+    def _parent_awgn(spec, ref):
+        # the white-noise generator as it was before one ``burst`` drew both kinds
+        n = int(round(spec.duration * ref.fs))
+        x = rng_for(spec.seed).standard_normal(n)
+        x *= spec.sigma_ratio * float(np.std(ref.samples)) / float(np.std(x))
+        return x
+
+    @pytest.mark.parametrize("decay_tau", [0.25, None], ids=["decaying", "constant"])
+    def test_sine_bits_match_the_separate_generator(self, decay_tau):
+        ref = unit_ref(seed=3)
+        spec = BurstSpec(kind="sine_decay", duration=1.0, sigma_ratio=0.01, f0=64.0,
+                         decay_tau=decay_tau)
+        assert np.array_equal(burst(spec, ref).samples, self._parent_sine(spec, ref))
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 + 5])
+    def test_awgn_bits_match_the_separate_generator(self, seed):
+        ref = unit_ref(seed=4)
+        spec = BurstSpec(kind="awgn", duration=1025 / 4096.0, sigma_ratio=0.002, seed=seed)
+        got = burst(spec, ref).samples
+        assert got.size == 1025 and np.array_equal(got, self._parent_awgn(spec, ref))
 
 
 class TestLineInterference:
