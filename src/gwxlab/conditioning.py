@@ -6,13 +6,34 @@ which flattens the output but reshapes (distorts) any embedded waveform.
 ``whiten_localized`` suppresses only detected line bands, dividing by the
 PSD excess over the local continuum inside each band, so everything
 outside the bands passes through untouched.
+
+The band-pass is the zero-phase Butterworth filter of LIGO's GW150914
+tutorial, ``scipy.signal.sosfiltfilt`` of ``butter(order, band)``, on
+numpy's FFT.  The design is scipy's: the analog prototype's poles,
+moved to the band, then the bilinear transform with prewarped edges.
+Its response H is sampled on a grid of M >= 4K points, where the
+slowest pole's envelope falls below 2**-60 after K taps.  The filter
+itself is the same linear map as ``sosfiltfilt``: an odd extension of
+``3 * (2 * n_sections + 1)`` samples at each end, then a forward and a
+backward pass, each started from the steady state of a step of its
+first input.  Away from the far end, the two passes are one
+convolution of the extension with the zero-phase kernel irfft(|H|^2),
+run as overlap-save blocks of M points, plus the forward pass's start-up
+``ext[0] * sum_j h[j] r[n + j]``, where ``r = H(1) - cumsum(h)`` is the
+step response's distance from its steady state.  The last K outputs,
+whose backward pass starts inside the kernel's reach, are computed by
+two causal passes over the last 2K inputs.  Only FFTs and elementwise
+products run, so the bits do not depend on the CPU or on BLAS threads.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .series import PSD_FLOOR_RATIO, PowerSpectrum, TimeSeries
@@ -73,6 +94,131 @@ def merge_bands(bands) -> tuple[LineBand, ...]:
     return tuple(sorted(merged, key=lambda b: b.f_center))
 
 
+# taps of the filter's impulse response are kept until the slowest pole's
+# envelope falls below 2**-60 of its start
+_TAIL_BITS = 60
+# a design that needs more taps is refused: its response grid alone would
+# take 4 * 2**20 complex points
+_MAX_TAPS = 2 ** 20
+# overlap-save blocks per rfft/irfft pair, so the scratch does not grow with
+# the series: on the stock band's 16,384-point grid four blocks a call ran
+# 1.5x faster per block than one, and as fast as eight
+_BLOCK_ROWS = 4
+
+
+def _too_long(kind: str, order: int, edges: tuple[float, ...], fs: float) -> ValidationError:
+    return ValidationError(
+        f"a {kind} of order {order} at {'..'.join(f'{f:g}' for f in edges)} Hz and "
+        f"fs={fs:g} Hz needs more than {_MAX_TAPS} samples of impulse response to "
+        f"decay; raise the lower edge (--band) or lower the order (--order)"
+    )
+
+
+class _ZeroPhasePlan:
+    """``sosfiltfilt`` of a digital Butterworth filter; see the module notes.
+
+    ``kind`` is ``"bandpass"`` with ``edges = (f_lo, f_hi)`` or
+    ``"lowpass"`` with ``edges = (f_c,)``, as for ``scipy.signal.butter``.
+    """
+
+    def __init__(self, kind: str, order: int, edges: tuple[float, ...], fs: float):
+        # every design needs more than 16 taps per order (23 was the least
+        # seen), so a steeper one is refused before its poles take memory
+        if 16 * order > _MAX_TAPS:
+            raise _too_long(kind, order, edges, fs)
+        proto = -np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order))
+        warped = [4.0 * math.tan(math.pi * f / fs) for f in edges]  # at fs = 2
+        if kind == "bandpass":
+            bw = warped[1] - warped[0]
+            half = proto * (bw / 2.0)
+            root = np.sqrt(half * half - warped[0] * warped[1])
+            analog = np.concatenate((half + root, half - root))
+            zeros = np.concatenate((np.ones(order), -np.ones(order)))
+            gain = (4.0 * bw) ** order  # the prototype's gain, its zeros at s = 0
+        else:
+            analog = warped[0] * proto
+            zeros = -np.ones(order)
+            gain = warped[0] ** order
+        poles = (4.0 + analog) / (4.0 - analog)
+        gain /= np.prod(4.0 - analog).real
+        decay = -math.log(float(np.max(np.abs(poles))))
+        taps = math.ceil(_TAIL_BITS * math.log(2.0) / decay) + 1 if decay > 0 else math.inf
+        if taps > _MAX_TAPS:
+            raise _too_long(kind, order, edges, fs)
+        size = 1 << (4 * taps - 1).bit_length()
+        z = np.exp(2j * np.pi * np.arange(size // 2 + 1) / size)
+        response = np.full(z.size, gain, dtype=np.complex128)
+        for zero, pole in zip(zeros, poles):
+            response *= (z - zero) / (z - pole)
+        h = np.fft.irfft(response, size)[:taps]
+        self.taps, self.size, self.response = taps, size, response
+        self.power = response.real ** 2 + response.imag ** 2
+        self.padlen = 3 * (2 * (poles.size // 2) + 1)  # every design has even poles
+        self.settle = response[0].real - np.cumsum(h)
+        self.startup = np.fft.irfft(response.conj() * np.fft.rfft(self.settle, size),
+                                    size)[:taps]
+
+    def _causal(self, x: np.ndarray) -> np.ndarray:
+        """The filter run forward over ``x`` from rest."""
+        return np.fft.irfft(np.fft.rfft(x, self.size) * self.response, self.size)[:x.size]
+
+    def _zero_phase(self, padded: np.ndarray, out: np.ndarray) -> None:
+        """``out[i]`` = the kernel irfft(|H|^2) convolved with ``padded``,
+        at ``padded[i + taps - 1]``; ``padded`` reaches ``size`` past it."""
+        reach, size = self.taps - 1, self.size
+        step = size - 2 * reach
+        blocks = sliding_window_view(padded, size)[::step]
+        rows = -(-out.size // step)
+        spec = np.empty((min(rows, _BLOCK_ROWS), size // 2 + 1), dtype=np.complex128)
+        kept = np.empty((spec.shape[0], size))
+        for r in range(0, rows, _BLOCK_ROWS):
+            k = min(rows - r, _BLOCK_ROWS)
+            np.fft.rfft(blocks[r:r + k], axis=-1, out=spec[:k])
+            spec[:k] *= self.power
+            np.fft.irfft(spec[:k], size, axis=-1, out=kept[:k])
+            dst = out[r * step:(r + k) * step]
+            dst[:] = kept[:k, reach:reach + step].reshape(-1)[:dst.size]
+
+    def filtfilt(self, x: np.ndarray) -> np.ndarray:
+        edge, taps, n = self.padlen, self.taps, x.size
+        if n <= edge:
+            raise ValidationError(
+                f"series too short for this filter: it needs more than {edge} "
+                f"samples, got {n}"
+            )
+        # the odd extension, inside the zeros that the kernel's blocks read
+        padded = np.zeros(n + 2 * edge + taps - 1 + self.size)
+        ext = padded[taps - 1:taps - 1 + n + 2 * edge]
+        ext[:edge] = 2.0 * x[0] - x[edge:0:-1]
+        ext[edge:edge + n] = x
+        ext[edge + n:] = 2.0 * x[-1] - x[-2:-edge - 2:-1]
+        y = np.empty(n)
+        split = max(ext.size - taps, edge)  # the backward pass reaches the end after it
+        if split > edge:
+            self._zero_phase(padded[edge:], y[:split - edge])
+            head = min(split, taps)
+            if head > edge:
+                y[:head - edge] += ext[0] * self.startup[edge:head]
+        a = max(split - taps + 1, 0)
+        forward = self._causal(ext[a:])
+        head = min(forward.size, taps - a)
+        if head > 0:
+            forward[:head] += ext[0] * self.settle[a:a + head]
+        backward = self._causal(forward[split - a:][::-1])
+        head = min(backward.size, taps)
+        backward[:head] += forward[-1] * self.settle[:head]
+        y[split - edge:] = backward[edge:][::-1]
+        return y
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_phase_plan(kind: str, order: int, edges: tuple[float, ...],
+                     fs: float) -> _ZeroPhasePlan:
+    """The plan for this design; the last four are kept, so a band-pass
+    and the bogus phase's low-pass can alternate."""
+    return _ZeroPhasePlan(kind, order, edges, fs)
+
+
 def butterworth_bandpass(
     ts: TimeSeries,
     f_lo: float,
@@ -91,13 +237,9 @@ def butterworth_bandpass(
         )
     if order < 1:
         raise ValidationError(f"filter order must be >= 1, got {order}")
-    import scipy.signal
-
-    sos = scipy.signal.butter(order, [f_lo, f_hi], btype="bandpass", fs=ts.fs, output="sos")
-    try:
-        y = scipy.signal.sosfiltfilt(sos, ts.samples)
-    except ValueError as exc:
-        raise ValidationError(f"series too short for this filter: {exc}") from exc
+    plan = _zero_phase_plan("bandpass", order, (float(f_lo), float(f_hi)), ts.fs)
+    y = plan.filtfilt(ts.samples)
+    y.setflags(write=False)  # frozen, so the series adopts it, not a copy
     return ts.with_samples(y)
 
 

@@ -245,14 +245,13 @@ class BurstSpec:
     def __post_init__(self):
         if self.kind not in ("sine_decay", "awgn"):
             raise ValidationError(f"unknown burst kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValidationError("burst duration must be positive")
-        if self.sigma_ratio <= 0:
-            raise ValidationError("sigma_ratio must be positive")
-        if self.kind == "sine_decay" and self.f0 <= 0:
-            raise ValidationError("sine burst needs f0 > 0")
-        if self.decay_tau is not None and self.decay_tau <= 0:
-            raise ValidationError("decay_tau must be positive or None")
+        _check_fields(self, "burst needs positive finite duration and sigma_ratio, finite f0",
+                      positive=("duration", "sigma_ratio"), finite=("f0",))
+        if self.kind == "sine_decay":
+            _check_fields(self, "sine burst needs a positive f0", positive=("f0",))
+        if self.decay_tau is not None:
+            _check_fields(self, "decay_tau must be positive and finite, or None",
+                          positive=("decay_tau",))
 
 
 def burst(spec: BurstSpec, ref: TimeSeries) -> TimeSeries:

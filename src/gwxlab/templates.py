@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditioning import _zero_phase_plan
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
 from .series import (TimeSeries, _check_rate, _finite, _json_text, _read_json, _write_json,
@@ -141,10 +142,7 @@ def _shaped_noise(rng, n: int, fs: float) -> np.ndarray:
     """Unit-std Gaussian noise, low-passed below fs/2, then re-normalized."""
     w = rng.standard_normal(n)
     if _SMOOTHING_HZ < fs / 2:
-        import scipy.signal
-
-        sos = scipy.signal.butter(4, _SMOOTHING_HZ, btype="lowpass", fs=fs, output="sos")
-        w = scipy.signal.sosfiltfilt(sos, w)
+        w = _zero_phase_plan("lowpass", 4, (_SMOOTHING_HZ,), fs).filtfilt(w)
     std = float(np.std(w))
     if std > 0:
         w = w / std

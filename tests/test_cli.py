@@ -208,6 +208,19 @@ class TestExitCodes:
         assert run("bandpass", "--strain", str(noise_file), "--band", "300:43",
                    "--out", str(tmp_path)) == 2
 
+    def test_band_that_never_decays_is_validation(self, tmp_path, noise_file, capsys):
+        # at order 4 and 1024 Hz, 0.01 Hz needs about 1.8e6 taps
+        assert run("bandpass", "--strain", str(noise_file), "--band", "0.01:300",
+                   "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "--band" in err and "--order" in err
+
+    def test_series_too_short_for_the_filter_is_validation(self, tmp_path, capsys):
+        short = tmp_path / "short.gwx"
+        save_strain(TimeSeries(FS, 0.0, np.ones(20)), short)
+        assert run("bandpass", "--strain", str(short), "--out", str(tmp_path)) == 2
+        assert "needs more than 27 samples, got 20" in capsys.readouterr().err
+
     def test_degenerate_input_is_exit_3(self, tmp_path):
         zero = tmp_path / "zero.gwx"
         save_strain(TimeSeries(FS, 0.0, np.zeros(512)), zero)
@@ -667,7 +680,7 @@ def _import_time_imports(tree: ast.Module):
 
 class TestLazyImports:
     """scipy loads at call time only, so neither detection engine's path
-    loads any of it."""
+    nor the band-pass loads any of it."""
 
     def test_no_module_imports_scipy_at_import_time(self):
         package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
@@ -706,6 +719,16 @@ class TestLazyImports:
         ]
         assert lazy_modules_loaded(tmp_path, chain) == []
 
-    def test_bandpass_loads_scipy_signal(self, tmp_path):
+    def test_bandpass_loads_no_scipy(self, tmp_path):
         chain = [["bandpass", "--strain", "run/noise.gwx", "--band", "43:300", "--out", "run"]]
+        assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_running_baseline_loads_no_scipy(self, tmp_path):
+        chain = [["scenario", "run", "running-baseline", "--trials", "1", "--seed", "3",
+                  "--out", "runs"]]
+        assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_psd_loads_scipy_signal(self, tmp_path):
+        """Welch is the last user of ``scipy.signal``."""
+        chain = [["psd", "--strain", "run/noise.gwx", "--out", "run"]]
         assert "scipy.signal" in lazy_modules_loaded(tmp_path, chain)

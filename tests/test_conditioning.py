@@ -21,6 +21,7 @@ from gwxlab import (
     whiten_full,
     whiten_localized,
 )
+from gwxlab import conditioning
 
 FS = 4096.0
 
@@ -70,6 +71,114 @@ class TestButterworthBandpass:
             butterworth_bandpass(tone(100.0), 300.0, 43.0)
         with pytest.raises(ValidationError):
             butterworth_bandpass(tone(100.0), 43.0, 3000.0)
+
+    def test_series_too_short_names_the_needed_length(self):
+        # order 4: padlen 3 * (2 * 4 + 1) = 27 samples
+        with pytest.raises(ValidationError, match="needs more than 27 samples, got 27"):
+            butterworth_bandpass(TimeSeries(FS, 0.0, np.ones(27)), 43.0, 300.0)
+        assert butterworth_bandpass(TimeSeries(FS, 0.0, np.ones(28)), 43.0, 300.0).n == 28
+
+    def test_design_that_never_decays_is_refused(self):
+        # at order 4 and 4096 Hz, 0.07 Hz needs about 2**20 taps
+        with pytest.raises(ValidationError, match=r"--band.*--order"):
+            butterworth_bandpass(tone(100.0), 0.05, 300.0)
+        # refused before its 10**9 poles are built
+        with pytest.raises(ValidationError, match=r"--band.*--order"):
+            butterworth_bandpass(tone(100.0), 43.0, 300.0, order=10 ** 9)
+
+
+BANDS = [(43.0, 300.0), (10.0, 30.0), (500.0, 2000.0), (1.0, 2040.0)]
+
+
+def scipy_filtfilt(x, order, edges, btype):
+    import scipy.signal
+
+    sos = scipy.signal.butter(order, edges, btype=btype, fs=FS, output="sos")
+    return scipy.signal.sosfiltfilt(sos, x)
+
+
+def assert_matches_scipy(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestZeroPhaseOracle:
+    """The numpy kernel against ``scipy.signal.sosfiltfilt``."""
+
+    @pytest.mark.parametrize("band", BANDS, ids=lambda b: f"{b[0]:g}-{b[1]:g}")
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_bandpass(self, order, band):
+        plan = conditioning._zero_phase_plan("bandpass", order, band, FS)
+        # just past the odd extension, the 0.2 s window, both sides of the
+        # kernel's reach, and 1 s and 64 s
+        for n in (plan.padlen + 1, 819, plan.taps + plan.padlen, int(FS), int(64 * FS)):
+            x = np.random.default_rng([order, n]).standard_normal(n)
+            for offset in (0.0, 10.0):
+                got = butterworth_bandpass(TimeSeries(FS, 0.0, x + offset), *band, order=order)
+                assert_matches_scipy(got.samples, scipy_filtfilt(x + offset, order, band,
+                                                                 "bandpass"))
+
+    def test_window_shorter_than_the_kernel(self):
+        # h1l1-ccf conditions 0.2 s windows, shorter than the stock band's taps
+        plan = conditioning._zero_phase_plan("bandpass", 4, (43.0, 300.0), FS)
+        assert plan.taps == 2095
+        x = np.random.default_rng(7).standard_normal(819)
+        got = butterworth_bandpass(TimeSeries(FS, 0.0, x), 43.0, 300.0)
+        assert_matches_scipy(got.samples, scipy_filtfilt(x, 4, (43.0, 300.0), "bandpass"))
+
+    def test_bogus_phase_lowpass(self):
+        x = np.random.default_rng(8).standard_normal(819)
+        got = conditioning._zero_phase_plan("lowpass", 4, (64.0,), FS).filtfilt(x)
+        assert_matches_scipy(got, scipy_filtfilt(x, 4, 64.0, "lowpass"))
+
+    def test_closer_to_exact_arithmetic_than_scipy(self):
+        """Where the output is 1e-3 of the input, the oracle's 1e-10 is
+        scipy's rounding: against the same map in 30-digit arithmetic the
+        kernel's error is far smaller."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        order, (lo, hi) = 6, (10.0, 30.0)
+        plan = conditioning._zero_phase_plan("bandpass", order, (lo, hi), FS)
+        x = np.random.default_rng(9).standard_normal(plan.padlen + 1)
+        # scipy's design in mpmath: prototype poles, lp2bp, bilinear at fs = 2
+        w_lo, w_hi = (4 * mp.tan(mp.pi * f / FS) for f in (lo, hi))
+        bw, analog = w_hi - w_lo, []
+        for m in range(1 - order, order, 2):
+            half = -mp.exp(1j * mp.pi * m / (2 * order)) * bw / 2
+            root = mp.sqrt(half * half - w_lo * w_hi)
+            analog += [half + root, half - root]
+        gain = (4 * bw) ** order
+        for s_pole in analog:
+            gain /= 4 - s_pole
+
+        def poly(roots):
+            c = [mp.mpc(1)]
+            for r in roots:
+                c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+            return c
+
+        b = [mp.re(gain * v) for v in poly([1] * order + [-1] * order)]
+        a = [mp.re(v) for v in poly([(4 + s) / (4 - s) for s in analog])]
+
+        def run(u):  # direct form II transposed from the step's steady state
+            dc = sum(b) / sum(a)
+            state = [sum(b[j] - a[j] * dc for j in range(k + 1, len(a))) * u[0]
+                     for k in range(len(a) - 1)]
+            out = []
+            for v in u:
+                y = b[0] * v + state[0]
+                state = [b[k + 1] * v - a[k + 1] * y + nxt
+                         for k, nxt in enumerate(state[1:] + [0])]
+                out.append(y)
+            return out
+
+        edge = plan.padlen
+        u = [mp.mpf(float(v)) for v in x]
+        ext = [2 * u[0] - v for v in u[edge:0:-1]] + u + [2 * u[-1] - v for v in u[-2:-edge - 2:-1]]
+        exact = np.array([float(v) for v in run(run(ext)[::-1])[::-1][edge:-edge]])
+        scale = np.max(np.abs(exact))
+        ours = np.max(np.abs(plan.filtfilt(x) - exact)) / scale
+        theirs = np.max(np.abs(scipy_filtfilt(x, order, (lo, hi), "bandpass") - exact)) / scale
+        assert ours < 1e-12 and ours < theirs / 10
 
 
 class TestWhitenFull:

@@ -160,6 +160,21 @@ class TestLanes:
         for f in files:
             assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f
 
+    @pytest.mark.parametrize("name, trials", [("running-baseline", 1), ("h1l1-ccf", 3)])
+    def test_band_passed_results_do_not_depend_on_lane_count(self, name, trials):
+        def arrays(result):
+            rows = [[getattr(t, c) for c in scenarios._TRIAL_COLUMNS] for t in result.trials]
+            yield np.array(rows, dtype=float).tobytes()
+            for _, (_, table) in sorted(result.figures.items()):
+                yield np.array(list(table), dtype=float).tobytes()
+
+        cfg = ScenarioConfig(name=name, trials=trials, seed_base=5)
+        got = []
+        for lanes in (1, 2):
+            with _with_lanes(lanes):
+                got.append(list(arrays(run_scenario(cfg))))
+        assert got[0] == got[1]
+
     def test_two_lanes_use_two_threads(self):
         idents = set()
 

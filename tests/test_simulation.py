@@ -311,6 +311,25 @@ class TestBursts:
         with pytest.raises(DegeneracyError):
             burst(BurstSpec(kind="sine_decay", duration=0.1, sigma_ratio=1.0, f0=64.0), ref)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("awgn", "duration", math.inf),
+        ("awgn", "sigma_ratio", math.nan),
+        ("awgn", "sigma_ratio", math.inf),
+        ("sine_decay", "duration", math.nan),
+        ("sine_decay", "duration", 10 ** 400),
+        ("sine_decay", "f0", math.inf),
+        ("sine_decay", "f0", math.nan),
+        ("awgn", "f0", math.inf),
+        ("sine_decay", "decay_tau", math.inf),
+        ("sine_decay", "decay_tau", math.nan),
+        ("awgn", "decay_tau", math.nan),
+    ])
+    def test_non_finite_field_is_refused_by_name(self, kind, field, value):
+        fields = dict(kind=kind, duration=0.5, sigma_ratio=1.0, f0=64.0, seed=3)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=f"got {field}="):
+            burst(BurstSpec(**fields), unit_ref())
+
     @staticmethod
     def _parent_sine(spec, ref):
         # the sine generator as it was before one ``burst`` drew both kinds
