@@ -142,8 +142,19 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_psd(args) -> int:
+    if args.segment is not None and not args.segment > 0:
+        raise ValidationError(f"--segment must be a positive number of seconds, "
+                              f"got {args.segment:g}")
     ts = load_strain(args.strain)
-    seg = int(round(args.segment * ts.fs)) if args.segment else None
+    seg = None
+    if args.segment is not None:
+        if args.segment > ts.duration:
+            raise ValidationError(f"--segment {args.segment:g} s exceeds the strain's "
+                                  f"{ts.duration:g} s")
+        seg = int(round(args.segment * ts.fs))
+        if seg < 2:
+            raise ValidationError(f"--segment {args.segment:g} s is shorter than two "
+                                  f"samples at {ts.fs:g} Hz")
     psd = welch_psd(ts, segment_len=seg)
     path = _out_path(args, args.name)
     save_psd_csv(psd, path)
@@ -152,14 +163,20 @@ def _cmd_psd(args) -> int:
 
 
 def _cmd_whiten(args) -> int:
+    if args.whiten == "full":
+        for flag, value in (("--line-threshold", args.line_threshold),
+                            ("--line-window-hz", args.line_window_hz)):
+            if value is not None:
+                raise ValidationError(f"{flag} applies only with --whiten localized, "
+                                      f"which detects lines; --whiten full uses none")
     ts = load_strain(args.strain)
     psd = _load_psd(args.psd, ts)
     if args.whiten == "full":
         return _save_out(args, whiten_full(ts, psd))
-    bands = detect_lines(psd, threshold_ratio=args.line_threshold,
-                         median_window_hz=args.line_window_hz)
-    return _save_out(args, whiten_localized(ts, psd, bands,
-                                            median_window_hz=args.line_window_hz))
+    threshold = 10.0 if args.line_threshold is None else args.line_threshold
+    window_hz = 8.0 if args.line_window_hz is None else args.line_window_hz
+    bands = detect_lines(psd, threshold_ratio=threshold, median_window_hz=window_hz)
+    return _save_out(args, whiten_localized(ts, psd, bands, median_window_hz=window_hz))
 
 
 def _cmd_bandpass(args) -> int:
@@ -316,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(Blackman window, 50% overlap)")
     common(p)
     p.add_argument("--strain", required=True)
-    p.add_argument("--segment", type=_finite_float, help="segment length, s (default 4 s)")
+    p.add_argument("--segment", type=_finite_float,
+                   help="segment length, s, at most the strain's (default 4 s, capped "
+                        "at the strain)")
     p.add_argument("--name", default="psd.csv")
     p.set_defaults(fn=_cmd_psd)
 
@@ -326,8 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psd", default="model",
                    help="'model', 'model:<json>', or a psd CSV path")
     p.add_argument("--whiten", default="full", choices=["full", "localized"])
-    p.add_argument("--line-threshold", type=_finite_float, default=10.0)
-    p.add_argument("--line-window-hz", type=_finite_float, default=8.0)
+    p.add_argument("--line-threshold", type=_finite_float,
+                   help="line PSD excess over the running median (localized only; "
+                        "default 10)")
+    p.add_argument("--line-window-hz", type=_finite_float,
+                   help="running-median window, Hz (localized only; default 8)")
     p.add_argument("--name", default="whitened.gwx")
     p.set_defaults(fn=_cmd_whiten)
 

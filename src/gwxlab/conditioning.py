@@ -22,8 +22,10 @@ run as overlap-save blocks of M points, plus the forward pass's start-up
 ``ext[0] * sum_j h[j] r[n + j]``, where ``r = H(1) - cumsum(h)`` is the
 step response's distance from its steady state.  The last K outputs,
 whose backward pass starts inside the kernel's reach, are computed by
-two causal passes over the last 2K inputs.  Only FFTs and elementwise
-products run, so the bits do not depend on the CPU or on BLAS threads.
+two causal passes over the last 2K inputs, each on the smallest
+power-of-two grid of at least its length plus K points.  Only FFTs and
+elementwise products run, so the bits do not depend on the CPU or on
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ _MAX_TAPS = 2 ** 20
 # the series: on the stock band's 16,384-point grid four blocks a call ran
 # 1.5x faster per block than one, and as fast as eight
 _BLOCK_ROWS = 4
+# elements of the windows partitioned at once by the running median
+# (512 KiB), so its scratch does not grow with the grid; 65,537 bins at
+# k = 257 took 52-67 ms, with 16 to 1,024 windows a chunk alike
+_MEDIAN_CHUNK = 1 << 16
 
 
 def _too_long(kind: str, order: int, edges: tuple[float, ...], fs: float) -> ValidationError:
@@ -159,8 +165,14 @@ class _ZeroPhasePlan:
                                     size)[:taps]
 
     def _causal(self, x: np.ndarray) -> np.ndarray:
-        """The filter run forward over ``x`` from rest."""
-        return np.fft.irfft(np.fft.rfft(x, self.size) * self.response, self.size)[:x.size]
+        """The filter run forward over ``x`` from rest, on the smallest grid
+        of ``2**j >= x.size + taps`` points (at most ``size``): there the
+        response's wrap-around reaches ``x`` only past the taps.  That grid
+        divides ``size``, so every ``size // m``-th entry of the response
+        is the response on it, to the bit."""
+        m = min(1 << (x.size + self.taps - 1).bit_length(), self.size)
+        response = self.response[::self.size // m]
+        return np.fft.irfft(np.fft.rfft(x, m) * response, m)[:x.size]
 
     def _zero_phase(self, padded: np.ndarray, out: np.ndarray) -> None:
         """``out[i]`` = the kernel irfft(|H|^2) convolved with ``padded``,
@@ -258,14 +270,30 @@ def whiten_full(ts: TimeSeries, psd: PowerSpectrum) -> TimeSeries:
     return ts.with_samples(np.fft.irfft(white, n=n))
 
 
-def _running_median(values: np.ndarray, df: float, median_window_hz: float) -> np.ndarray:
-    """Running median over an odd kernel of ~``median_window_hz`` (>= 3 bins, <= the grid)."""
+def _running_median(values: np.ndarray, df: float, median_window_hz: float,
+                    at: np.ndarray | None = None) -> np.ndarray:
+    """Running median over an odd kernel of ~``median_window_hz`` (>= 3 bins, <= the grid),
+    at the bins ``at`` (every bin when ``None``).
+
+    This is ``scipy.ndimage.median_filter(values, size=k, mode="nearest")``
+    on numpy, bit for bit: the grid is edge-padded by ``k // 2`` bins and
+    each bin's ``k``-bin window from ``sliding_window_view`` is
+    partitioned, ``_MEDIAN_CHUNK // k`` windows at a time, at its middle
+    rank.  The median of an odd count is one of the values, so any exact
+    selection gives the same bits.
+    """
     if not median_window_hz > 0:
         raise ValidationError("median_window_hz must be positive")
-    import scipy.ndimage
-
     k = max(3, int(round(median_window_hz / df)) | 1)
-    return scipy.ndimage.median_filter(values, size=min(k, values.size | 1), mode="nearest")
+    k = min(k, values.size | 1)
+    h = k // 2
+    windows = sliding_window_view(np.pad(values, h, mode="edge"), k)
+    out = np.empty(values.size if at is None else at.size)
+    rows = max(1, _MEDIAN_CHUNK // k)
+    for r in range(0, out.size, rows):
+        chunk = windows[r:r + rows] if at is None else windows[at[r:r + rows]]
+        out[r:r + rows] = np.partition(chunk, h, axis=1)[:, h]
+    return out
 
 
 def detect_lines(
@@ -350,10 +378,14 @@ def whiten_localized(
         return ts.with_samples(ts.samples.copy())
     df = ts.fs / n
     grid = psd.floored(df, n // 2 + 1)
-    baseline = np.maximum(_running_median(grid, df, median_window_hz),
-                          PSD_FLOOR_RATIO * float(np.median(grid)))
-    excess = np.sqrt(np.maximum(grid / baseline, 1.0))
     weight = _band_weights(np.arange(n // 2 + 1) * df, bands)
-    divisor = excess ** weight
+    # outside the bands the weight is 0 and excess ** 0 is 1.0, so the
+    # running median is needed at the in-band bins only
+    inside = np.flatnonzero(weight > 0)
+    baseline = np.maximum(_running_median(grid, df, median_window_hz, inside),
+                          PSD_FLOOR_RATIO * float(np.median(grid)))
+    excess = np.sqrt(np.maximum(grid[inside] / baseline, 1.0))
+    divisor = np.ones(n // 2 + 1)
+    divisor[inside] = excess ** weight[inside]
     spec = np.fft.rfft(ts.samples) / divisor
     return ts.with_samples(np.fft.irfft(spec, n=n))

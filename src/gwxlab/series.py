@@ -38,6 +38,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegeneracyError, ParseError, ValidationError
 
@@ -59,6 +60,9 @@ GWX_MAGIC = "# gwx-strain v1"
 PSD_FLOOR_RATIO = 1e-12
 # rows formatted and written per block by the text writers
 _WRITE_BLOCK_ROWS = 8192
+# Welch segments per batched rfft, so the scratch does not grow with the
+# series: 16 segments of the default 4 s at 4096 Hz take 2 MiB
+_WELCH_ROWS = 16
 
 
 def _readonly_f64(values, name: str) -> np.ndarray:
@@ -403,26 +407,34 @@ def welch_psd(ts: TimeSeries, segment_len: int | None = None) -> PowerSpectrum:
 
     ``segment_len`` defaults to ``4 * fs`` samples, capped at the series
     length.  For unit-variance white noise the band-averaged level is 2/fs.
+
+    The estimate is ``scipy.signal.welch`` (no detrend, mean average) on
+    numpy, in scipy's order of operations, so it gives scipy 1.17's bytes:
+    scipy's periodic Blackman window ``0.42 - 0.5 cos(2 pi k/N) + 0.08
+    cos(4 pi k/N)``, scaled by ``1 / sqrt(dt * sum w**2)`` (the density
+    scaling), segments ``N - round(N/2)`` samples apart, a batched rfft of
+    ``_WELCH_ROWS`` segments at a time, ``|X|**2`` doubled at every bin but
+    DC (and Nyquist for even N), then the mean over segments.
     """
     if segment_len is None:
         segment_len = min(int(round(4 * ts.fs)), ts.n)
-    segment_len = int(segment_len)
-    if segment_len < 2:
+    n = int(segment_len)
+    if n < 2:
         raise ValidationError("segment_len must be at least 2 samples")
-    if segment_len > ts.n:
+    if n > ts.n:
         raise ValidationError(
-            f"segment_len {segment_len} exceeds series length {ts.n}"
+            f"segment_len {n} exceeds series length {ts.n}"
         )
-    import scipy.signal
-
-    _, pxx = scipy.signal.welch(
-        ts.samples,
-        fs=ts.fs,
-        window="blackman",
-        nperseg=segment_len,
-        noverlap=int(round(0.5 * segment_len)),
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-    )
-    return PowerSpectrum(df=ts.fs / segment_len, values=pxx)
+    phase = np.linspace(-np.pi, np.pi, n + 1)[:n]
+    window = 0.42 + 0.5 * np.cos(phase) + 0.08 * np.cos(2.0 * phase)
+    # cumsum's last entry is the left-to-right sum that scipy takes
+    window *= 1.0 / np.sqrt(np.cumsum(window * window)[-1] / (1.0 / ts.fs))
+    segments = sliding_window_view(ts.samples, n)[::n - int(round(0.5 * n))]
+    # (frequency, segment), as scipy lays it out, so that the mean adds
+    # each bin's segments in scipy's order
+    power = np.empty((n // 2 + 1, segments.shape[0]))
+    for r in range(0, segments.shape[0], _WELCH_ROWS):
+        spec = np.fft.rfft(segments[r:r + _WELCH_ROWS] * window, n)
+        power[:, r:r + _WELCH_ROWS] = (spec.real ** 2 + spec.imag ** 2).T
+    power[1:None if n % 2 else -1] *= 2.0
+    return PowerSpectrum(df=ts.fs / n, values=power.mean(axis=-1))

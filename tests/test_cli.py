@@ -241,6 +241,25 @@ class TestExitCodes:
         junk.write_bytes(bytes(range(256)))
         assert run("psd", "--strain", str(junk), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("segment", ["0", "-4"])
+    def test_psd_segment_must_be_positive(self, tmp_path, noise_file, capsys, segment):
+        assert run("psd", "--strain", str(noise_file), f"--segment={segment}",
+                   "--out", str(tmp_path)) == 2
+        assert "--segment must be a positive number of seconds" in capsys.readouterr().err
+        assert not (tmp_path / "psd.csv").exists()
+
+    def test_psd_segment_longer_than_the_strain(self, tmp_path, noise_file, capsys):
+        assert run("psd", "--strain", str(noise_file), "--segment", "1e300",
+                   "--out", str(tmp_path)) == 2
+        assert "--segment 1e+300 s exceeds the strain's 8 s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--line-threshold", "--line-window-hz"])
+    def test_whiten_full_refuses_line_settings(self, tmp_path, noise_file, capsys, flag):
+        assert run("whiten", "--strain", str(noise_file), "--whiten", "full", flag, "5",
+                   "--out", str(tmp_path)) == 2
+        assert f"{flag} applies only with --whiten localized" in capsys.readouterr().err
+        assert not (tmp_path / "whitened.gwx").exists()
+
     def test_unwritable_output_dir(self, tmp_path, noise_file):
         assert run("bandpass", "--strain", str(noise_file), "--band", "43:300",
                    "--out", "/proc/nope") == 2
@@ -598,9 +617,14 @@ def readme_commands() -> list[list[str]]:
 README_COMMANDS = readme_commands()
 
 
+def _readme_exits_3(argv: list[str]) -> bool:
+    """README's raw-strain ``cyclic_prefix`` filter line (ROADMAP item 2)."""
+    return argv[0] == "mf" and "cyclic_prefix" in argv and "--no-reweight" not in argv
+
+
 def _readme_param(index: int, argv: list[str]):
     marks = ()
-    if argv[0] == "mf" and "cyclic_prefix" in argv and "--no-reweight" not in argv:
+    if _readme_exits_3(argv):
         marks = pytest.mark.xfail(
             strict=True,
             reason="exits 3: on the template's own frequency grid the template power "
@@ -634,7 +658,7 @@ class TestReadme:
         assert exit_codes[index] == 0, "gwxlab " + " ".join(README_COMMANDS[index])
 
 
-# packages that load at call time only, with every module under them
+# packages that no command loads, with every module under them
 LAZY_MODULES = ("scipy",)
 
 _CHAIN = """
@@ -642,7 +666,8 @@ import sys
 from gwxlab.cli import main
 
 for argv in {chain!r}:
-    assert main(argv) == 0, argv
+    code = main(argv)
+    assert code == 0 or argv in {exit_3!r} and code == 3, (argv, code)
 print(sorted(m for m in sys.modules if m.split(".")[0] in {modules!r}))
 """
 _SETUP = [
@@ -651,12 +676,13 @@ _SETUP = [
 ]
 
 
-def lazy_modules_loaded(tmp_path, chain) -> list[str]:
-    """Run ``chain`` of CLI argument lists in a fresh interpreter; the
+def lazy_modules_loaded(tmp_path, chain, setup=_SETUP, exit_3=()) -> list[str]:
+    """Run ``setup`` and then ``chain`` of CLI argument lists in a fresh
+    interpreter, each exiting 0 (or 3 if listed in ``exit_3``); the
     modules under ``LAZY_MODULES`` it loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    script = _CHAIN.format(chain=_SETUP + chain, modules=LAZY_MODULES)
+    script = _CHAIN.format(chain=[*setup, *chain], exit_3=list(exit_3), modules=LAZY_MODULES)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -679,8 +705,8 @@ def _import_time_imports(tree: ast.Module):
 
 
 class TestLazyImports:
-    """scipy loads at call time only, so neither detection engine's path
-    nor the band-pass loads any of it."""
+    """scipy is a test dependency only: no module imports it and no command
+    loads any of it."""
 
     def test_no_module_imports_scipy_at_import_time(self):
         package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
@@ -728,7 +754,41 @@ class TestLazyImports:
                   "--out", "runs"]]
         assert lazy_modules_loaded(tmp_path, chain) == []
 
-    def test_psd_loads_scipy_signal(self, tmp_path):
-        """Welch is the last user of ``scipy.signal``."""
+    def test_no_module_imports_scipy(self):
+        """Not at import time, and not inside a function either."""
+        package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
+        found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(
+                     alias.name.split(".")[0] in LAZY_MODULES for alias in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] in LAZY_MODULES]
+        assert found == []
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]]
+        assert names == ["numpy"]
+        assert any(req.startswith("scipy")
+                   for req in project["optional-dependencies"]["test"])
+
+    def test_psd_loads_no_scipy(self, tmp_path):
         chain = [["psd", "--strain", "run/noise.gwx", "--out", "run"]]
-        assert "scipy.signal" in lazy_modules_loaded(tmp_path, chain)
+        assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_localized_whitening_loads_no_scipy(self, tmp_path):
+        chain = [
+            ["psd", "--strain", "run/noise.gwx", "--segment", "2", "--out", "run"],
+            ["whiten", "--strain", "run/noise.gwx", "--psd", "run/psd.csv",
+             "--whiten", "localized", "--out", "run"],
+            ["whiten", "--strain", "run/noise.gwx", "--psd", "model",
+             "--whiten", "localized", "--out", "run"],
+        ]
+        assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_readme_chain_loads_no_scipy(self, tmp_path):
+        exit_3 = [argv for argv in README_COMMANDS if _readme_exits_3(argv)]
+        assert lazy_modules_loaded(tmp_path, README_COMMANDS, setup=[],
+                                   exit_3=exit_3) == []

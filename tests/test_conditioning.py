@@ -22,6 +22,7 @@ from gwxlab import (
     whiten_localized,
 )
 from gwxlab import conditioning
+from gwxlab.series import PSD_FLOOR_RATIO
 
 FS = 4096.0
 
@@ -270,6 +271,57 @@ class TestDetectLines:
                 detect_lines(psd, median_window_hz=window)
             with pytest.raises(ValidationError, match="median_window_hz must be positive"):
                 whiten_localized(ts, psd, [band], median_window_hz=window)
+
+
+def scipy_running_median(values, df, median_window_hz):
+    """The running median as it was, through ``scipy.ndimage``."""
+    import scipy.ndimage
+
+    k = max(3, int(round(median_window_hz / df)) | 1)
+    return scipy.ndimage.median_filter(values, size=min(k, values.size | 1), mode="nearest")
+
+
+class TestRunningMedianOracle:
+    """The numpy running median against ``scipy.ndimage.median_filter``,
+    bit for bit, on every bin and on a subset of bins."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 6, 33, 100, 256, 257, 258, 1001])
+    def test_matches_median_filter(self, size):
+        rng = np.random.default_rng(size)
+        values = np.exp(rng.standard_normal(size))
+        values[rng.integers(0, size, size // 4)] = values[0]  # ties
+        subset = np.sort(rng.choice(size, size=max(1, size // 3), replace=False))
+        for k in range(3, 258, 2):
+            want = scipy_running_median(values, 1.0, float(k))
+            got = conditioning._running_median(values, 1.0, float(k))
+            assert got.tobytes() == want.tobytes(), k
+            got = conditioning._running_median(values, 1.0, float(k), subset)
+            assert got.tobytes() == want[subset].tobytes(), k
+
+    def test_window_rounding_on_a_psd_grid(self):
+        # 8 Hz on the 4 s Welch grid (k = 33) and on a 32 s model grid (k = 257)
+        model = default_detector_model()
+        for df, n_bins in ((0.25, 8193), (1 / 32, 65537)):
+            values = model.to_power_spectrum(df, n_bins).values
+            want = scipy_running_median(values, df, 8.0)
+            assert conditioning._running_median(values, df, 8.0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_whiten_localized_matches_the_full_grid_median(self, seed):
+        """The median taken at in-band bins only gives the bytes of the
+        divisor built from the median on every bin."""
+        ts = colored_noise(default_detector_model(), 8.0, FS, seed=seed)
+        psd = welch_psd(ts, segment_len=int(2 * FS))
+        bands = detect_lines(psd)
+        assert bands
+        n, df = ts.n, FS / ts.n
+        grid = psd.floored(df, n // 2 + 1)
+        baseline = np.maximum(scipy_running_median(grid, df, 8.0),
+                              PSD_FLOOR_RATIO * float(np.median(grid)))
+        excess = np.sqrt(np.maximum(grid / baseline, 1.0))
+        weight = conditioning._band_weights(np.arange(n // 2 + 1) * df, bands)
+        want = np.fft.irfft(np.fft.rfft(ts.samples) / excess ** weight, n=n)
+        assert whiten_localized(ts, psd, bands).samples.tobytes() == want.tobytes()
 
 
 class TestMergeBands:

@@ -245,6 +245,37 @@ class TestWelchPsd:
             welch_psd(make_noise(512), segment_len=1024)
 
 
+def scipy_welch(ts, segment_len):
+    import scipy.signal
+
+    return scipy.signal.welch(ts.samples, fs=ts.fs, window="blackman", nperseg=segment_len,
+                              noverlap=int(round(0.5 * segment_len)), detrend=False,
+                              return_onesided=True, scaling="density")[1]
+
+
+class TestWelchOracle:
+    """The numpy Welch estimate against ``scipy.signal.welch``."""
+
+    @pytest.mark.parametrize("n, segment_len", [
+        (131072, 16384), (131072, 4096), (9000, 1001), (8192, 1024), (7, 2), (2, 2),
+        (3, 3), (1001, 1001), (4096, 4096), (77777, 1000),
+    ], ids=lambda v: str(v))
+    @pytest.mark.parametrize("offset", [0.0, 5.0], ids=["zero-mean", "dc-offset"])
+    def test_matches_scipy(self, n, segment_len, offset):
+        ts = make_noise(n, seed=n + segment_len)
+        ts = ts.with_samples(ts.samples + offset)
+        want = scipy_welch(ts, segment_len)
+        got = welch_psd(ts, segment_len=segment_len).values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_bytes_match_scipy_on_the_readme_segment(self):
+        """Same operations in scipy's order: ``psd.csv`` keeps scipy's bytes."""
+        ts = make_noise(32 * 4096, seed=7)
+        want = scipy_welch(ts, 4 * 4096)
+        assert welch_psd(ts, segment_len=4 * 4096).values.tobytes() == want.tobytes()
+
+
 class TestPowerSpectrum:
     def test_nonnegative_enforced(self):
         with pytest.raises(ValidationError):
