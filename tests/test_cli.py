@@ -689,36 +689,31 @@ def lazy_modules_loaded(tmp_path, chain, setup=_SETUP, exit_3=()) -> list[str]:
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def _import_time_imports(tree: ast.Module):
-    """(line, module) of each import that runs when the module is imported:
-    everything outside function bodies."""
-    nodes = list(tree.body)
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def _imports(tree: ast.Module):
+    """(line, module) of each absolute import, at any depth: at module level
+    and inside functions alike."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module
-        nodes.extend(ast.iter_child_nodes(node))
 
 
 class TestLazyImports:
     """scipy is a test dependency only: no module imports it and no command
     loads any of it."""
 
-    def test_no_module_imports_scipy_at_import_time(self):
+    def test_no_module_imports_scipy(self):
         package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
         found = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
-                 for line, name in _import_time_imports(ast.parse(path.read_text()))
+                 for line, name in _imports(ast.parse(path.read_text()))
                  if name.split(".")[0] in LAZY_MODULES]
         assert found == []
 
-    def test_import_scan_sees_module_level_imports(self):
+    def test_import_scan_sees_every_import(self):
         tree = ast.parse("import scipy.fft\nif True:\n    from scipy import signal\n"
-                         "def f():\n    import scipy.ndimage\n")
-        assert sorted(_import_time_imports(tree)) == [(1, "scipy.fft"), (3, "scipy")]
+                         "def f():\n    import scipy.ndimage\n    from . import cli\n")
+        assert sorted(_imports(tree)) == [(1, "scipy.fft"), (3, "scipy"), (5, "scipy.ndimage")]
 
     def test_matched_filter_chain_loads_no_scipy_signal(self, tmp_path):
         chain = [
@@ -753,17 +748,6 @@ class TestLazyImports:
         chain = [["scenario", "run", "running-baseline", "--trials", "1", "--seed", "3",
                   "--out", "runs"]]
         assert lazy_modules_loaded(tmp_path, chain) == []
-
-    def test_no_module_imports_scipy(self):
-        """Not at import time, and not inside a function either."""
-        package = Path(__file__).resolve().parents[1] / "src" / "gwxlab"
-        found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Import) and any(
-                     alias.name.split(".")[0] in LAZY_MODULES for alias in node.names)
-                 or isinstance(node, ast.ImportFrom) and node.level == 0
-                 and node.module.split(".")[0] in LAZY_MODULES]
-        assert found == []
 
     def test_runtime_dependencies_are_numpy_only(self):
         tomllib = pytest.importorskip("tomllib")
