@@ -259,15 +259,22 @@ def whiten_full(ts: TimeSeries, psd: PowerSpectrum) -> TimeSeries:
     """Divide the spectrum by the noise amplitude spectral density.
 
     For noise drawn from ``psd`` the output is unit-variance white: each
-    bin is scaled by ``sqrt(2 * dt / psd(f))``.
+    bin is scaled by ``sqrt(2 * dt / psd(f))``.  numpy divides a complex by
+    a real through the real's reciprocal, so scaling both parts in place by
+    ``1 / sqrt(psd)``, then ``sqrt(2 * dt)``, gives the out-of-place bits.
     """
     n = ts.n
     if n < 2:
         raise ValidationError("whitening needs at least two samples")
     grid = psd.floored(ts.fs / n, n // 2 + 1)
+    inv = np.divide(1.0, np.sqrt(grid, out=grid), out=grid)
     spec = np.fft.rfft(ts.samples)
-    white = spec / np.sqrt(grid) * np.sqrt(2.0 / ts.fs)
-    return ts.with_samples(np.fft.irfft(white, n=n))
+    for part in (spec.real, spec.imag):
+        part *= inv
+        part *= np.sqrt(2.0 / ts.fs)
+    white = np.fft.irfft(spec, n=n)
+    white.setflags(write=False)  # frozen, so the series adopts it, not a copy
+    return ts.with_samples(white)
 
 
 def _running_median(values: np.ndarray, df: float, median_window_hz: float,

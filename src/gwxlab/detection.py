@@ -249,13 +249,16 @@ def _next_fast_len(target: int, real: bool = False) -> int:
 # matched filter
 
 
-def _band_mask(n_onesided: int, df: float, band) -> np.ndarray:
-    mask = np.ones(n_onesided, dtype=bool)
-    mask[0] = False  # DC carries no template information
-    if band is not None:
-        f = np.arange(n_onesided) * df
-        mask &= (f >= band[0]) & (f <= band[1])
-    return mask
+def _band_slice(n_onesided: int, df: float, band) -> slice:
+    """The filtered bins k of a one-sided grid: k >= 1, as DC carries no
+    template information, and ``band[0] <= k * df <= band[1]`` given a
+    band.  ``k * df`` never decreases with k, so the bins at or above
+    ``band[0]`` are a tail and those at or below ``band[1]`` a head."""
+    if band is None:
+        return slice(1, n_onesided)
+    f = np.arange(n_onesided) * df
+    return slice(max(1, n_onesided - int(np.count_nonzero(f >= band[0]))),
+                 int(np.count_nonzero(f <= band[1])))
 
 
 def _check_block(strain: TimeSeries, template: TimeSeries, cfg: MfConfig) -> None:
@@ -283,86 +286,76 @@ def _check_block(strain: TimeSeries, template: TimeSeries, cfg: MfConfig) -> Non
 class _MfPlan:
     """Strain-independent state of the matched filter for one block shape.
 
-    Template spectrum, PSD on the filter grid, band mask, <h|h> weights,
-    the in-band conjugate template and PSD and, when reweighting, the
-    chi-squared band bounds.  In ``cyclic_prefix`` mode it also holds the
-    conjugate spectrum of the whitened-template kernel, and of one kernel
-    per chi-squared band, at the fast length ``fft_len >= n``; the kept
-    lags 0..n - nt read strain samples up to n - 1 only, so the zero
-    padding is exact.
+    The filtered band, a slice of the one-sided filter grid, <h|h> and,
+    when reweighting, the chi-squared bands.  In ``circular`` mode it
+    holds the conjugate template spectrum and the PSD over the band only;
+    in ``cyclic_prefix`` mode the conjugate spectrum of the whitened-
+    template kernel, and of one kernel per chi-squared band, at the fast
+    length ``fft_len >= n``; the kept lags 0..n - nt read strain samples
+    up to n - 1 only, so the zero padding is exact.
     Depends only on (template, PSD, cfg, block length, rate).
     """
 
     def __init__(self, template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
                  n: int, fs: float):
         self.cfg = cfg
-        self.fs = fs
         self.dt = 1.0 / fs
         self.n = n
         self.nt = nt = template.n
 
-        if cfg.mode == "circular":
-            self.grid_n = n
-        else:
-            self.grid_n = nt
-        self.grid_df = self.fs / self.grid_n
-        nf = self.grid_n // 2 + 1
-        h = np.zeros(self.grid_n)
+        grid_n = n if cfg.mode == "circular" else nt
+        self.grid_df = fs / grid_n
+        nf = grid_n // 2 + 1
+        h = np.zeros(grid_n)
         h[:nt] = template.samples
-        self.htilde = np.fft.rfft(h) * self.dt
-        self.psd_grid = psd.floored(self.grid_df, nf)
-        self.mask = _band_mask(nf, self.grid_df, cfg.band)
-        # <h|h> integrand per one-sided bin
-        self.weights = np.where(
-            self.mask, 4.0 * np.abs(self.htilde) ** 2 / self.psd_grid * self.grid_df, 0.0
-        )
-        self.hh = float(np.sum(self.weights))
+        htilde = np.fft.rfft(h) * self.dt
+        psd_grid = psd.floored(self.grid_df, nf)
+        self.band = band = _band_slice(nf, self.grid_df, cfg.band)
+        # <h|h> integrand per one-sided bin, summed over the whole grid
+        weights = np.zeros(nf)
+        weights[band] = 4.0 * np.abs(htilde[band]) ** 2 / psd_grid[band] * self.grid_df
+        self.hh = float(np.sum(weights))
         if self.hh <= 0.0:
             raise DegeneracyError("template has no in-band power; <h|h> is zero")
-        self.sel = np.where(self.mask)[0]
         if cfg.mode == "circular":
-            self.hconj_sel = np.conj(self.htilde[self.sel])
-            self.psd_sel = self.psd_grid[self.sel]
+            self.hconj = np.conj(htilde[band])
+            self.psd_band = psd_grid[band].copy()
             self.out_len = n
         else:
             self.out_len = n - nt + 1
             self.fft_len = _next_fast_len(n)
-            self.kernel_spec = self._kernel_spectrum(self.mask)
+            self.kernel_spec = self._kernel_spectrum(htilde, psd_grid, band)
 
         if cfg.reweight_bins is not None:
-            n_bins = cfg.reweight_bins
-            if n_bins > self.sel.size:
+            n_bins, width = cfg.reweight_bins, band.stop - band.start
+            if n_bins > width:
                 raise ValidationError(f"cannot build {n_bins} chi-squared bands from "
-                                      f"{self.sel.size} in-band bins; ask for at most that many")
-            cum = np.cumsum(self.weights) / self.hh
+                                      f"{width} in-band bins; ask for at most that many")
+            cum = np.cumsum(weights) / self.hh
             edges = np.searchsorted(cum, np.arange(1, n_bins) / n_bins, side="left")
-            self.bounds = np.concatenate([[0], edges + 1, [self.weights.size]])
-            if np.any(np.diff(self.bounds) < 1):
+            bounds = [0, *(edges + 1).tolist(), nf]
+            if any(hi <= lo for lo, hi in zip(bounds, bounds[1:])):
                 raise DegeneracyError(
                     f"template power too concentrated to build {n_bins} chi-squared bands"
                 )
-            bands = list(zip(self.bounds[:-1], self.bounds[1:]))
+            # each chi-squared band's run of filtered bins, empty or not
+            runs = [slice(max(lo, band.start), min(hi, band.stop))
+                    for lo, hi in zip(bounds, bounds[1:])]
             if cfg.mode == "cyclic_prefix":
-                k = np.arange(self.weights.size)
-                self.band_kernel_specs = [self._kernel_spectrum(self.mask & (k >= lo) & (k < hi))
-                                          for lo, hi in bands]
+                self.band_kernel_specs = [self._kernel_spectrum(htilde, psd_grid, run)
+                                          for run in runs]
             else:
-                # (first in-mask bin, width to the last one, autocorrelation
-                # FFT length) per band; q is zero outside the mask
-                self.band_spans = []
-                for lo, hi in bands:
-                    inside = self.sel[(self.sel >= lo) & (self.sel < hi)]
-                    if inside.size:
-                        w = int(inside[-1] - inside[0]) + 1
-                        self.band_spans.append((int(inside[0]), w, _next_fast_len(2 * w - 1)))
+                # q is zero outside the band, so an empty run adds nothing
+                self.band_spans = [(run.start, w, _next_fast_len(2 * w - 1))
+                                   for run in runs if (w := run.stop - run.start) > 0]
 
-    def _kernel_spectrum(self, mask: np.ndarray) -> np.ndarray:
+    def _kernel_spectrum(self, htilde: np.ndarray, psd_grid: np.ndarray,
+                         bins: slice) -> np.ndarray:
         """Conjugate length-``fft_len`` spectrum of the whitened-template
-        kernel restricted to ``mask``; the kernel's support is exactly the
+        kernel restricted to ``bins``; the kernel's support is exactly the
         template length."""
         g_freq = np.zeros(self.nt, dtype=np.complex128)
-        sel = np.where(mask)[0]
-        g_freq[sel] = self.htilde[sel] / self.psd_grid[sel]
+        g_freq[bins] = htilde[bins] / psd_grid[bins]
         kernel = np.fft.ifft(g_freq) * (self.nt * self.grid_df)
         return np.conj(np.fft.fft(kernel, self.fft_len))
 
@@ -371,9 +364,13 @@ class _MfPlan:
         strain-side spectrum that :meth:`chi2_reduced` needs."""
         n = self.n
         if self.cfg.mode == "circular":
-            strain_fft = np.fft.rfft(strain.samples) * self.dt
+            strain_fft = np.fft.rfft(strain.samples)
             q = np.zeros(n, dtype=np.complex128)
-            q[self.sel] = 4.0 * strain_fft[self.sel] * self.hconj_sel / self.psd_sel
+            # dt * 4 * X * conj(h) / S, in that order, straight into the band
+            q_band = np.multiply(strain_fft[self.band], self.dt, out=q[self.band])
+            q_band *= 4.0
+            q_band *= self.hconj
+            q_band /= self.psd_band
             return np.fft.ifft(q) * (n * self.grid_df), q
         block_fft = np.fft.fft(strain.samples, self.fft_len)
         return self._linear_snr(block_fft, self.kernel_spec), block_fft
@@ -442,8 +439,8 @@ def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
     htilde = np.fft.rfft(template.samples) / template.fs
     df = template.fs / template.n
     grid = psd.floored(df, htilde.size)
-    mask = _band_mask(htilde.size, df, band)
-    hh = float(np.sum(4.0 * np.abs(htilde[mask]) ** 2 / grid[mask] * df))
+    bins = _band_slice(htilde.size, df, band)
+    hh = float(np.sum(4.0 * np.abs(htilde[bins]) ** 2 / grid[bins] * df))
     if hh <= 0.0:
         raise DegeneracyError("template has no in-band power; <h|h> is zero")
     return hh

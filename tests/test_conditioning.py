@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,28 @@ class TestWhitenFull:
         psd = PowerSpectrum(df=1.0, values=np.zeros(128))
         with pytest.raises(DegeneracyError):
             whiten_full(TimeSeries(FS, 0.0, np.ones(256)), psd)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bits_of_the_complex_division(self, seed):
+        ts = colored_noise(default_detector_model(), 8.0, FS, seed=seed)
+        psd = default_detector_model().to_power_spectrum(0.25, 8192)
+        grid = psd.floored(FS / ts.n, ts.n // 2 + 1)
+        white = np.fft.rfft(ts.samples) / np.sqrt(grid) * np.sqrt(2.0 / FS)
+        want = np.fft.irfft(white, n=ts.n)
+        assert whiten_full(ts, psd).samples.tobytes() == want.tobytes()
+
+    def test_64s_whitening_peaks_below_6_mib(self):
+        # dividing and scaling the complex spectrum out of place peaked at 9.25 MiB
+        ts = TimeSeries(FS, 0.0, np.random.default_rng(5).standard_normal(int(64 * FS)))
+        psd = default_detector_model().to_power_spectrum(1.0 / 64, int(32 * FS) + 1)
+        whiten_full(ts, psd)
+        tracemalloc.start()
+        try:
+            whiten_full(ts, psd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestDetectLines:

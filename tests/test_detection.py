@@ -1,7 +1,9 @@
+import math
 import re
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -580,6 +582,118 @@ class TestPlannedCyclicPrefix:
         assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
         chi2 = plan.chi2_reduced(z, spectrum)
         assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
+
+
+def band_mask_oracle(n_onesided, df, band):
+    """The filtered bins as a boolean mask: all but DC, within ``band`` Hz."""
+    mask = np.arange(n_onesided) > 0
+    if band is not None:
+        f = np.arange(n_onesided) * df
+        mask &= (f >= band[0]) & (f <= band[1])
+    return mask
+
+
+def gathered_mf_oracle(strain, template, psd, cfg):
+    """rho, rho_reweighted and chi2_reduced with the band gathered and
+    scattered through the index array of a boolean mask, in the planned
+    filter's order of operations, so the bits must match."""
+    n, nt, fs = strain.n, template.n, strain.fs
+    dt, n_bins = 1.0 / fs, cfg.reweight_bins
+    grid_n = n if cfg.mode == "circular" else nt
+    df, nf = fs / grid_n, grid_n // 2 + 1
+    h = np.zeros(grid_n)
+    h[:nt] = template.samples
+    htilde = np.fft.rfft(h) * dt
+    grid = psd.floored(df, nf)
+    mask = band_mask_oracle(nf, df, cfg.band)
+    weights = np.where(mask, 4.0 * np.abs(htilde) ** 2 / grid * df, 0.0)
+    hh = float(np.sum(weights))
+    sel = np.where(mask)[0]
+    bands = []
+    if n_bins is not None:
+        edges = np.searchsorted(np.cumsum(weights) / hh, np.arange(1, n_bins) / n_bins)
+        bounds = np.concatenate([[0], edges + 1, [nf]])
+        bands = [sel[(sel >= lo) & (sel < hi)] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if cfg.mode == "circular":
+        q = np.zeros(n, dtype=complex)
+        q[sel] = 4.0 * (np.fft.rfft(strain.samples) * dt)[sel] * np.conj(htilde[sel]) / grid[sel]
+        z = np.fft.ifft(q) * (n * df)
+        acf = np.zeros(n // 2 + 1, dtype=complex)
+        for inside in (b for b in bands if b.size):
+            lo, w = inside[0], inside[-1] - inside[0] + 1
+            spec = np.fft.fft(q[lo:lo + w], next_fast_len(2 * w - 1))
+            acf[:w] += np.fft.ihfft(spec.real ** 2 + spec.imag ** 2)[:w]
+        power = np.fft.irfft(acf, n) * ((n * df) * (n * df) / n)
+        chi2 = np.maximum(power - (z.real ** 2 + z.imag ** 2) / (n_bins or 1), 0.0)
+    else:
+        size = next_fast_len(n)
+        block = np.fft.fft(strain.samples, size)
+
+        def linear_z(bins):
+            g_freq = np.zeros(nt, dtype=complex)
+            g_freq[bins] = htilde[bins] / grid[bins]
+            kernel = np.conj(np.fft.fft(np.fft.ifft(g_freq) * (nt * df), size))
+            return 4.0 * dt * np.fft.ifft(block * kernel)[:n - nt + 1]
+
+        z = linear_z(sel)
+        chi2 = np.zeros(z.size)
+        for inside in bands:
+            chi2 += np.abs(linear_z(inside) - z / n_bins) ** 2
+    rho = np.abs(z) / math.sqrt(hh)
+    if n_bins is None:
+        return rho, rho, None
+    chi2 *= n_bins / hh
+    chi2 /= 2 * n_bins - 2
+    return rho, rho * detection._reweight_factor(chi2), chi2
+
+
+class TestBandSlice:
+    """The band as a slice against the mask and index arrays it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 3000),
+           df=st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
+           band=st.none() | st.tuples(st.floats(), st.floats()))
+    def test_mask_is_one_run(self, n, df, band):
+        bins = np.flatnonzero(band_mask_oracle(n, df, band))
+        np.testing.assert_array_equal(bins, np.arange(n)[detection._band_slice(n, df, band)])
+
+    @pytest.mark.parametrize("band", [None, (20.0, 500.0), (43.0, 300.0)])
+    @pytest.mark.parametrize("mode, n_bins", [("circular", 16), ("circular", None),
+                                              ("cyclic_prefix", 4),
+                                              ("cyclic_prefix", None)])
+    def test_matched_filter_matches_the_gathered_filter_bit_for_bit(self, band, mode, n_bins):
+        model = default_detector_model()
+        tpl = stock_template("gw150914", FS).base
+        psd = model.to_power_spectrum(1.0 / 32, int(16 * FS) + 1)
+        strain = colored_noise(model, 32.0, FS, seed=derive_seed(23, n_bins or 0))
+        strain = inject(strain, tpl.with_samples(12.0 / math.sqrt(sigma_norm(tpl, psd))
+                                                 * tpl.samples), 17.0)
+        cfg = MfConfig(mode=mode, reweight_bins=n_bins, band=band)
+        got = matched_filter(strain, tpl, psd, cfg)
+        rho, rho_rw, chi2 = gathered_mf_oracle(strain, tpl, psd, cfg)
+        assert got.rho.tobytes() == rho.tobytes()
+        assert got.rho_reweighted.tobytes() == rho_rw.tobytes()
+        if n_bins is None:
+            assert got.chi2_reduced is None
+        else:
+            assert got.chi2_reduced.tobytes() == chi2.tobytes()
+
+    def test_circular_32s_plan_keeps_below_2_5_mib(self):
+        # the full-grid spectrum, PSD, mask, weights and index arrays it
+        # kept before took 5.2 MiB
+        n = int(32 * FS)
+        psd = default_detector_model().to_power_spectrum(1.0 / 32, n // 2 + 1)
+        tpl = stock_template("gw150914", FS).base
+        detection._MfPlan(tpl, psd, MfConfig(), n, FS)  # numpy's lazy imports happen here
+        tracemalloc.start()
+        try:
+            plan = detection._MfPlan(tpl, psd, MfConfig(), n, FS)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan.band_spans) == 16
+        assert kept < 2.5 * 2**20
 
 
 def scipy_decorrelation_time(ts):

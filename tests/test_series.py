@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,79 @@ class TestGwxFormat:
         )
         with pytest.raises(ParseError, match="line 6"):
             load_strain(path)
+
+
+def write_gwx(path, body, n):
+    """A gwx-text file whose header says ``n`` samples, with ``body`` after it."""
+    head = f"# gwx-strain v1\n# fs_hz=4096.0\n# t0_s=0.0\n# n={n}\n"
+    path.write_bytes(head.encode("ascii") + body)
+
+
+class TestStreamedGwxReader:
+    """gwx-text is parsed in blocks of ``_WRITE_BLOCK_ROWS`` lines as it is read."""
+
+    values = np.linspace(-1.0, 1.0, 9000)
+    samples = "".join(f"{v!r}\n" for v in values.tolist()).encode("ascii")
+
+    @pytest.mark.parametrize("k", [0, 1, 700])
+    def test_non_numeric_sample_in_a_later_block_names_its_line(self, tmp_path, k):
+        rows = self.samples.splitlines(keepends=True)
+        rows[series._WRITE_BLOCK_ROWS + k] = b"banana\n"
+        path = tmp_path / "bad.gwx"
+        write_gwx(path, b"".join(rows), len(rows))
+        with pytest.raises(ParseError, match=rf"^line {8197 + k}: non-numeric sample 'banana'$"):
+            load_strain(path)
+
+    @pytest.mark.parametrize("n, held", [(9000, 8999), (9000, 9001), (8192, 8193),
+                                         (8193, 8192), (1, 9000), (9000, 0)])
+    def test_count_mismatch_gives_the_true_count(self, tmp_path, n, held):
+        path = tmp_path / "bad.gwx"
+        write_gwx(path, b"0.5\n" * held, n)
+        with pytest.raises(ParseError, match=f"header says n={n}, file holds {held} samples"):
+            load_strain(path)
+
+    @pytest.mark.parametrize("n", ["1000000000000", "-1", str(2**63)])
+    def test_header_count_is_not_trusted_before_the_samples(self, tmp_path, n):
+        path = tmp_path / "bad.gwx"
+        write_gwx(path, self.samples, n)
+        with pytest.raises(ParseError, match=f"header says n={n}, file holds 9000 samples"):
+            load_strain(path)
+
+    def test_non_ascii_byte_in_the_body(self, tmp_path):
+        path = tmp_path / "bad.gwx"
+        write_gwx(path, self.samples + "0.25\u00b5\n".encode("utf-8"), 9001)
+        with pytest.raises(ParseError, match="bad.gwx: not an ASCII text file"):
+            load_strain(path)
+
+    @pytest.mark.parametrize("blanks", [1, 2, series._WRITE_BLOCK_ROWS + 3])
+    def test_blank_lines_may_follow_the_last_sample(self, tmp_path, blanks):
+        path = tmp_path / "x.gwx"
+        write_gwx(path, self.samples + b"\n" * blanks, 9000)
+        assert load_strain(path).samples.tobytes() == self.values.tobytes()
+
+    @pytest.mark.parametrize("tail, text", [(b"\n0.5\n", ""), (b"\n" * 9000 + b"0.5\n", ""),
+                                            (b"\n \n", ""), (b"\n0.5", ""), (b" \n", " ")],
+                             ids=["sample", "sample-a-block-later", "spaces", "unterminated",
+                                  "spaces-first"])
+    def test_a_blank_line_before_anything_but_blank_lines_is_refused(self, tmp_path, tail, text):
+        path = tmp_path / "bad.gwx"
+        write_gwx(path, self.samples + tail, 9000)
+        with pytest.raises(ParseError, match=f"^line 9005: non-numeric sample '{text}'$"):
+            load_strain(path)
+
+    def test_32s_read_peaks_below_4_mib(self, tmp_path):
+        # reading the file whole and splitting it into lines peaked at 12.6 MiB
+        path = tmp_path / "x.gwx"
+        save_strain(make_noise(131072, seed=4), path)
+        load_strain(path)
+        tracemalloc.start()
+        try:
+            ts = load_strain(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ts.n == 131072 and not ts.samples.flags.writeable
+        assert peak < 4 * 2**20
 
 
 class TestGwxRoundTripProperty:
