@@ -342,6 +342,15 @@ class TestReweightSnr:
             assert np.array_equal(got, oracle(chi2_r), equal_nan=True)
 
 
+def band_mask_oracle(n_onesided, df, band):
+    """The filtered bins as a boolean mask: all but DC, within ``band`` Hz."""
+    mask = np.arange(n_onesided) > 0
+    if band is not None:
+        f = np.arange(n_onesided) * df
+        mask &= (f >= band[0]) & (f <= band[1])
+    return mask
+
+
 def per_band_chi2_oracle(strain, template, psd, n_bins, band=None):
     """Circular chi-squared by its definition: one masked iFFT per band.
 
@@ -355,10 +364,7 @@ def per_band_chi2_oracle(strain, template, psd, n_bins, band=None):
     htilde = np.fft.rfft(h) / fs
     grid = psd.interpolated(df, nf)
     grid = np.maximum(grid, 1e-12 * np.median(grid[grid > 0]))
-    mask = np.arange(nf) > 0
-    if band is not None:
-        f = np.arange(nf) * df
-        mask &= (f >= band[0]) & (f <= band[1])
+    mask = band_mask_oracle(nf, df, band)
     weights = np.where(mask, 4.0 * np.abs(htilde) ** 2 / grid * df, 0.0)
     hh = np.sum(weights)
     q = np.zeros(n, dtype=complex)
@@ -582,15 +588,6 @@ class TestPlannedCyclicPrefix:
         assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
         chi2 = plan.chi2_reduced(z, spectrum)
         assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
-
-
-def band_mask_oracle(n_onesided, df, band):
-    """The filtered bins as a boolean mask: all but DC, within ``band`` Hz."""
-    mask = np.arange(n_onesided) > 0
-    if band is not None:
-        f = np.arange(n_onesided) * df
-        mask &= (f >= band[0]) & (f <= band[1])
-    return mask
 
 
 def gathered_mf_oracle(strain, template, psd, cfg):
