@@ -17,8 +17,10 @@ import sys
 
 import numpy as np
 
-from .conditioning import butterworth_bandpass, detect_lines, whiten_full, whiten_localized
+from .conditioning import (_LINE_THRESHOLD, _LINE_WINDOW_HZ, butterworth_bandpass, detect_lines,
+                           whiten_full, whiten_localized)
 from .detection import (
+    _MF_MODES,
     SNR_THRESHOLD,
     MfConfig,
     decorrelation_time,
@@ -47,6 +49,7 @@ from .series import (
     TimeSeries,
     _finite,
     _json_text,
+    _median,
     _read_json,
     _write_json,
     load_psd_csv,
@@ -56,7 +59,8 @@ from .series import (
     welch_psd,
 )
 from .simulation import PsdModel, _model_psd, colored_noise, default_detector_model, inject
-from .templates import BogusSpec, load_template, make_bogus, save_template, stock_template
+from .templates import (STOCK_TEMPLATES, BogusSpec, load_template, make_bogus, save_template,
+                        stock_template)
 
 
 def _number(text: str) -> float:
@@ -173,8 +177,8 @@ def _cmd_whiten(args) -> int:
     psd = _load_psd(args.psd, ts)
     if args.whiten == "full":
         return _save_out(args, whiten_full(ts, psd))
-    threshold = 10.0 if args.line_threshold is None else args.line_threshold
-    window_hz = 8.0 if args.line_window_hz is None else args.line_window_hz
+    threshold = _LINE_THRESHOLD if args.line_threshold is None else args.line_threshold
+    window_hz = _LINE_WINDOW_HZ if args.line_window_hz is None else args.line_window_hz
     bands = detect_lines(psd, threshold_ratio=threshold, median_window_hz=window_hz)
     return _save_out(args, whiten_localized(ts, psd, bands, median_window_hz=window_hz))
 
@@ -233,7 +237,7 @@ def _cmd_running_ccf(args) -> int:
     _emit_json({
         "n_windows": len(scan),
         "max_peak_abs_ccf": float(np.max(scan.peak_abs_ccf)),
-        "median_peak_abs_ccf": float(np.median(scan.peak_abs_ccf)),
+        "median_peak_abs_ccf": _median(scan.peak_abs_ccf),
         "tau0_template_s": tau0,
     }, _out_path(args, "running_summary.json"))
     return 0
@@ -292,12 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p, *reads):
-        """--out everywhere; --seed and --fs only where the subcommand reads them."""
+        """--out everywhere; --seed, --fs and --kind only where the subcommand reads them."""
         if "seed" in reads:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
         if "fs" in reads:
             p.add_argument("--fs", type=_finite_float, default=4096.0, help="sample rate, Hz")
         p.add_argument("--out", default=".", help="output directory")
+        if "kind" in reads:
+            p.add_argument("--kind", default="gw150914", choices=list(STOCK_TEMPLATES))
 
     p = sub.add_parser("noise", help="synthesize detector-like colored noise")
     common(p, "seed", "fs")
@@ -307,15 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_noise)
 
     p = sub.add_parser("template", help="emit a stock chirp template")
-    common(p, "fs")
-    p.add_argument("--kind", default="gw150914",
-                   choices=["gw150914", "gw151226", "gw170104"])
+    common(p, "fs", "kind")
     p.set_defaults(fn=_cmd_template)
 
     p = sub.add_parser("bogus", help="synthesize a phase-noise bogus template")
-    common(p, "seed", "fs")
-    p.add_argument("--kind", default="gw150914",
-                   choices=["gw150914", "gw151226", "gw170104"])
+    common(p, "seed", "fs", "kind")
     p.add_argument("--template", help="template basename saved by 'template'")
     p.add_argument("--sigma-phase", type=_finite_float, default=1.0)
     p.add_argument("--name", default="bogus.gwx")
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_inject)
 
     p = sub.add_parser("psd", help="Welch PSD estimate of a strain file "
-                                    "(Blackman window, 50% overlap)")
+                                    "(Blackman window, 50%% overlap)")
     common(p)
     p.add_argument("--strain", required=True)
     p.add_argument("--segment", type=_finite_float,
@@ -346,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'model', 'model:<json>', or a psd CSV path")
     p.add_argument("--whiten", default="full", choices=["full", "localized"])
     p.add_argument("--line-threshold", type=_finite_float,
-                   help="line PSD excess over the running median (localized only; "
-                        "default 10)")
+                   help=f"line PSD excess over the running median (localized only; "
+                        f"default {_LINE_THRESHOLD:g})")
     p.add_argument("--line-window-hz", type=_finite_float,
-                   help="running-median window, Hz (localized only; default 8)")
+                   help=f"running-median window, Hz (localized only; default "
+                        f"{_LINE_WINDOW_HZ:g})")
     p.add_argument("--name", default="whitened.gwx")
     p.set_defaults(fn=_cmd_whiten)
 
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strain", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--psd", default="model")
-    p.add_argument("--mode", default="circular", choices=["circular", "cyclic_prefix"])
+    p.add_argument("--mode", default="circular", choices=_MF_MODES)
     p.add_argument("--n-bins", type=int, default=16, help="chi-squared bands")
     p.add_argument("--no-reweight", action="store_true")
     p.add_argument("--band", type=_pair("f_lo:f_hi"), help="restrict to f_lo:f_hi")

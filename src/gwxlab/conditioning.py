@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .series import PSD_FLOOR_RATIO, PowerSpectrum, TimeSeries
+from .series import PSD_FLOOR_RATIO, PowerSpectrum, TimeSeries, _median
 
 __all__ = [
     "LineBand",
@@ -110,6 +110,10 @@ _BLOCK_ROWS = 4
 # (512 KiB), so its scratch does not grow with the grid; 65,537 bins at
 # k = 257 took 52-67 ms, with 16 to 1,024 windows a chunk alike
 _MEDIAN_CHUNK = 1 << 16
+# line detection's defaults: a bin is in a line where the PSD exceeds this
+# ratio times its running median over this window
+_LINE_THRESHOLD = 10.0
+_LINE_WINDOW_HZ = 8.0
 
 
 def _too_long(kind: str, order: int, edges: tuple[float, ...], fs: float) -> ValidationError:
@@ -305,8 +309,8 @@ def _running_median(values: np.ndarray, df: float, median_window_hz: float,
 
 def detect_lines(
     psd: PowerSpectrum,
-    threshold_ratio: float = 10.0,
-    median_window_hz: float = 8.0,
+    threshold_ratio: float = _LINE_THRESHOLD,
+    median_window_hz: float = _LINE_WINDOW_HZ,
 ) -> list[LineBand]:
     """Find narrowband PSD peaks relative to a running median.
 
@@ -322,25 +326,18 @@ def detect_lines(
     mask &= baseline > 0
     bands: list[LineBand] = []
     freqs = psd.frequencies()
-    in_run = False
-    start = 0
-    for i in range(mask.size + 1):
-        if i < mask.size and mask[i]:
-            if not in_run:
-                in_run, start = True, i
+    # the mask flips at each run's first bin and one past its last
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    for start, stop in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
+        peak = start + int(np.argmax(values[start:stop + 1]))
+        if freqs[peak] <= 0:
             continue
-        if in_run:
-            in_run = False
-            stop = i - 1
-            peak = start + int(np.argmax(values[start:stop + 1]))
-            if freqs[peak] <= 0:
-                continue
-            half = 0.5 * (freqs[stop] - freqs[start]) + 0.5 * psd.df
-            ratio = values[peak] / baseline[peak]
-            bands.append(
-                LineBand(f_center=float(freqs[peak]), half_width=float(half),
-                         peak_ratio=float(ratio))
-            )
+        half = 0.5 * (freqs[stop] - freqs[start]) + 0.5 * psd.df
+        ratio = values[peak] / baseline[peak]
+        bands.append(
+            LineBand(f_center=float(freqs[peak]), half_width=float(half),
+                     peak_ratio=float(ratio))
+        )
     return list(merge_bands(bands))
 
 
@@ -366,7 +363,7 @@ def whiten_localized(
     ts: TimeSeries,
     psd: PowerSpectrum,
     lines,
-    median_window_hz: float = 8.0,
+    median_window_hz: float = _LINE_WINDOW_HZ,
 ) -> TimeSeries:
     """Suppress spectral lines in place, leaving the rest of the spectrum alone.
 
@@ -390,7 +387,7 @@ def whiten_localized(
     # running median is needed at the in-band bins only
     inside = np.flatnonzero(weight > 0)
     baseline = np.maximum(_running_median(grid, df, median_window_hz, inside),
-                          PSD_FLOOR_RATIO * float(np.median(grid)))
+                          PSD_FLOOR_RATIO * _median(grid))
     excess = np.sqrt(np.maximum(grid[inside] / baseline, 1.0))
     divisor = np.ones(n // 2 + 1)
     divisor[inside] = excess ** weight[inside]

@@ -102,6 +102,8 @@ MIN_FREQ_HZ = 30.0
 # stock template's 819 samples a chunk's spectrum and output take 0.9 MB
 # each and stay in a 2 MB L2 cache; 128 rows measured 1.5x slower
 _CCF_CHUNK_ROWS = 64
+# the matched filter's block modes, described in the module docstring
+_MF_MODES = ("circular", "cyclic_prefix")
 
 
 class Peak(NamedTuple):
@@ -127,7 +129,7 @@ class MfConfig:
     band: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("circular", "cyclic_prefix"):
+        if self.mode not in _MF_MODES:
             raise ValidationError(f"unknown matched-filter mode {self.mode!r}")
         if self.block_len is not None and self.block_len <= 0:
             raise ValidationError("block_len must be positive or None")
@@ -427,20 +429,18 @@ def _plan_for(template: TimeSeries, psd: PowerSpectrum, cfg: MfConfig,
 _PLAN_LOCK = threading.Lock()
 
 
-def sigma_norm(template: TimeSeries, psd: PowerSpectrum,
-               band: tuple[float, float] | None = None) -> float:
+def sigma_norm(template: TimeSeries, psd: PowerSpectrum) -> float:
     """Normalization quadratic form <h|h> = 4 * sum |h~|^2 / S_n * df.
 
-    Evaluated on the template's own frequency grid; scales as a**2 when
-    the template is scaled by a.
+    Evaluated on the template's own frequency grid, DC excluded; scales as
+    a**2 when the template is scaled by a.
     """
     if template.n < 2:
         raise ValidationError("template needs at least two samples")
     htilde = np.fft.rfft(template.samples) / template.fs
     df = template.fs / template.n
     grid = psd.floored(df, htilde.size)
-    bins = _band_slice(htilde.size, df, band)
-    hh = float(np.sum(4.0 * np.abs(htilde[bins]) ** 2 / grid[bins] * df))
+    hh = float(np.sum(4.0 * np.abs(htilde[1:]) ** 2 / grid[1:] * df))
     if hh <= 0.0:
         raise DegeneracyError("template has no in-band power; <h|h> is zero")
     return hh
@@ -736,8 +736,10 @@ def running_window_ccf(
         spans.append((float(t_a), float(t_b)))
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")
+    # windows hold template.n samples once the rates match
+    n_win = template.n
+    lag_samples = _lag_samples(fs, n_win, template, (n_win - 1) / fs)
     duration = template.duration
-    n_win = int(round(duration * fs))  # snapped as slice_window snaps
     t0 = long_ts.t0
     reach = t0 + long_ts.duration + 0.5 / fs
     starts = _window_starts(t0, hop, reach - duration - t0, lambda t: t + duration <= reach)
@@ -751,8 +753,7 @@ def running_window_ccf(
     kept = np.flatnonzero(usable)
     starts, first = starts[kept], first[kept]
 
-    if first.size:  # else the window may be longer than the series
-        view = np.lib.stride_tricks.sliding_window_view(long_ts.samples, n_win)
+    view = np.lib.stride_tricks.sliding_window_view(long_ts.samples, n_win)
     rows_per = _CCF_CHUNK_ROWS
     chunks = range(0, first.size, rows_per)
 
@@ -765,7 +766,7 @@ def running_window_ccf(
     lead = next((i for i, c in enumerate(chunks) if np.any(gather(c)[1] > 0.0)), None)
     if lead is None:
         raise ValidationError("no usable windows: exclusions cover the whole span")
-    plan = _CcfPlan(template, fs, _lag_samples(fs, n_win, template, (n_win - 1) / fs), tau0)
+    plan = _CcfPlan(template, fs, lag_samples, tau0)
     chunks = chunks[lead:]
     peak = np.empty(first.size)
     r3 = np.empty(first.size)

@@ -35,8 +35,8 @@ from .detection import (
 from .errors import GwxError, ValidationError
 from .lanes import run_lanes
 from .rng import derive_seed, rng_for
-from .series import (PowerSpectrum, TimeSeries, _finite, _json_text, _write_csv, _write_json,
-                     load_strain, slice_window)
+from .series import (PowerSpectrum, TimeSeries, _finite, _json_text, _median, _write_csv,
+                     _write_json, load_strain, slice_window)
 from .simulation import (
     BurstSpec,
     PsdLine,
@@ -561,14 +561,10 @@ def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw
     relative waveform error after each path is compared over the event."""
     tpl, _ = _template_for(cfg, template_kind)
     base_model = _psd_model(cfg)
-    model = PsdModel(
-        segments=base_model.segments,
-        lines=(PsdLine(60.0, line_ratio, 0.5),)
-        + tuple(l for l in base_model.lines if abs(l.f_hz - 60.0) > 1.0),
-        f_floor_hz=base_model.f_floor_hz,
-    )
+    model = replace(base_model, lines=(PsdLine(60.0, line_ratio, 0.5),)
+                    + tuple(l for l in base_model.lines if abs(l.f_hz - 60.0) > 1.0))
     psd = _model_psd(model, int(round(span * cfg.fs)), cfg.fs)
-    bands = detect_lines(psd, threshold_ratio=10.0, median_window_hz=8.0)
+    bands = detect_lines(psd)
     t_inj = span / 2.0
     host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
     embedded = inject(host, tpl.base, t_inj)
@@ -639,10 +635,10 @@ def _scenario_running_baseline(cfg: ScenarioConfig, *, template_kind: str = "gw1
             figures["running.csv"] = _running_figure(scan)
         return TrialReport(trial_index=k, seed=seed,
                            peak_abs_ccf=float(np.max(scan.peak_abs_ccf)),
-                           r3=float(np.median(scan.r3)),
+                           r3=_median(scan.r3),
                            peaky=bool(np.any(scan.r3 < R3_THRESHOLD)),
                            extras={"n_windows": len(scan),
-                                   "median_peak_abs_ccf": float(np.median(scan.peak_abs_ccf))})
+                                   "median_peak_abs_ccf": _median(scan.peak_abs_ccf)})
 
     reports, stats = monte_carlo(trial, cfg.trials, cfg.seed_base, cfg.name)
     return ScenarioResult(cfg, reports, stats, figures)

@@ -80,6 +80,17 @@ def _readonly_f64(values, name: str) -> np.ndarray:
     return arr
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty NaN-free 1-D float array, bit for bit:
+    the mean, as ``np.median`` takes it, of the middle element of an odd
+    count or the two middle elements of an even one, found by
+    ``np.partition``.  Unlike the first ``np.median`` of a process, it does
+    not import ``numpy.ma``."""
+    h, odd = divmod(values.size, 2)
+    part = np.partition(values, h if odd else (h - 1, h))
+    return float(np.mean(part[h - 1 + odd:h + 1]))
+
+
 def _check_rate(fs_a: float, fs_b: float, what: str) -> None:
     """Refuse two sample rates further apart than 1e-9 of ``fs_a``; ``what`` names the pair."""
     if abs(fs_a - fs_b) > 1e-9 * fs_a:
@@ -188,7 +199,7 @@ class PowerSpectrum:
         positive = values[values > 0]
         if positive.size == 0:
             raise DegeneracyError("PSD is zero everywhere")
-        values = np.maximum(values, PSD_FLOOR_RATIO * float(np.median(positive)))
+        values = np.maximum(values, PSD_FLOOR_RATIO * _median(positive))
         if not np.all(values > 0):
             raise DegeneracyError("PSD still holds zero or NaN bins after flooring")
         return values

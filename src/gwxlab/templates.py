@@ -223,40 +223,28 @@ def _inspiral_chirp(
     return Template(base=base, phase=phase, envelope=envelope, f0=carrier_f0)
 
 
-def _gw150914_like(fs: float) -> Template:
-    return _inspiral_chirp(fs, duration=0.2, f_start=35.0, f_end=250.0)
-
-
-def _gw151226_like(fs: float) -> Template:
-    # AM+FM form around a 56 Hz carrier
-    return _inspiral_chirp(fs, duration=1.0, f_start=35.0, f_end=350.0, carrier_f0=56.0)
-
-
-def _gw170104_like(fs: float) -> Template:
-    return _inspiral_chirp(fs, duration=0.12, f_start=35.0, f_end=300.0)
-
-
+# the ``_inspiral_chirp`` arguments after ``fs`` of each stand-in chirp
 STOCK_TEMPLATES = {
-    "gw150914": _gw150914_like,
-    "gw151226": _gw151226_like,
-    "gw170104": _gw170104_like,
+    "gw150914": dict(duration=0.2, f_start=35.0, f_end=250.0),
+    # AM+FM form around a 56 Hz carrier
+    "gw151226": dict(duration=1.0, f_start=35.0, f_end=350.0, carrier_f0=56.0),
+    "gw170104": dict(duration=0.12, f_start=35.0, f_end=300.0),
 }
 
 
 def stock_template(name: str, fs: float = 4096.0) -> Template:
-    """Parameterized stand-in chirps for the three reference events.
+    """Parameterized stand-in chirp ``name`` for one of the three reference
+    events, from its row of ``STOCK_TEMPLATES``.
 
-    ``gw150914``: 0.2 s, 35 to 250 Hz.  ``gw151226``: 1 s around a 56 Hz
-    carrier, sweeping 35 to 350 Hz.  ``gw170104``: 0.12 s, 35 to 300 Hz.
     Real template files can be substituted via the strain file formats.
     """
     try:
-        maker = STOCK_TEMPLATES[name]
+        chirp = STOCK_TEMPLATES[name]
     except KeyError:
         raise ValidationError(
             f"unknown stock template {name!r}; pick one of {sorted(STOCK_TEMPLATES)}"
         ) from None
-    return maker(float(fs))
+    return _inspiral_chirp(float(fs), **chirp)
 
 
 def save_template(tpl: Template, basename: str | os.PathLike) -> tuple[str, str]:

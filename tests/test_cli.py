@@ -147,6 +147,18 @@ class TestBasicCommands:
         assert "hop must be at least one sample" in capsys.readouterr().err
         assert not (tmp_path / "running.csv").exists()
 
+    def test_running_ccf_rate_mismatch(self, tmp_path, template_file, capsys):
+        # the 205-sample template at 1024 Hz is longer than the 300 samples
+        # at 4096 Hz; the rates are what is wrong
+        strain = tmp_path / "short.gwx"
+        save_strain(TimeSeries(4096.0, 0.0, np.random.default_rng(2).standard_normal(300)),
+                    strain)
+        code = run("running-ccf", "--strain", str(strain), "--template", str(template_file),
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert "sample-rate mismatch (window, reference): 4096.0 vs 1024.0 Hz" in \
+            capsys.readouterr().err
+
     def test_far(self, capsys):
         assert run("far", "--nb", "0", "--t", "1", "--tb", "1") == 0
         value = float(capsys.readouterr().out.strip())
@@ -200,6 +212,16 @@ class TestScenarioCommand:
 
 
 class TestExitCodes:
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        assert "50% overlap" in capsys.readouterr().out
+
+    def test_no_subcommand_prints_help(self, capsys):
+        assert run() == 2
+        assert capsys.readouterr().out.startswith("usage: gwxlab")
+
     def test_missing_file_is_validation(self, tmp_path):
         assert run("psd", "--strain", str(tmp_path / "missing.gwx"),
                    "--out", str(tmp_path)) == 2
@@ -602,9 +624,12 @@ class TestChi2BandCount:
             capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """Each ``gwxlab`` line of README.md's ``sh`` blocks, continuations joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     commands = []
     for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -657,6 +682,12 @@ class TestReadme:
     def test_command_exits_0(self, exit_codes, index):
         assert exit_codes[index] == 0, "gwxlab " + " ".join(README_COMMANDS[index])
 
+    def test_library_sketch_finds_the_injection(self, capsys):
+        (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert abs(namespace["snr"].peak.time - 16.0) <= 0.005, capsys.readouterr().out
+
 
 # packages that no command loads, with every module under them
 LAZY_MODULES = ("scipy",)
@@ -668,7 +699,8 @@ from gwxlab.cli import main
 for argv in {chain!r}:
     code = main(argv)
     assert code == 0 or argv in {exit_3!r} and code == 3, (argv, code)
-print(sorted(m for m in sys.modules if m.split(".")[0] in {modules!r}))
+print(sorted(m for m in sys.modules
+             if any(m == p or m.startswith(p + ".") for p in {modules!r})))
 """
 _SETUP = [
     ["noise", "--duration", "8", "--seed", "3", "--out", "run"],
@@ -676,13 +708,14 @@ _SETUP = [
 ]
 
 
-def lazy_modules_loaded(tmp_path, chain, setup=_SETUP, exit_3=()) -> list[str]:
+def lazy_modules_loaded(tmp_path, chain, setup=_SETUP, exit_3=(),
+                        modules=LAZY_MODULES) -> list[str]:
     """Run ``setup`` and then ``chain`` of CLI argument lists in a fresh
     interpreter, each exiting 0 (or 3 if listed in ``exit_3``); the
-    modules under ``LAZY_MODULES`` it loaded."""
+    modules it loaded that are, or are under, one of ``modules``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    script = _CHAIN.format(chain=[*setup, *chain], exit_3=list(exit_3), modules=LAZY_MODULES)
+    script = _CHAIN.format(chain=[*setup, *chain], exit_3=list(exit_3), modules=modules)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -771,6 +804,29 @@ class TestLazyImports:
              "--whiten", "localized", "--out", "run"],
         ]
         assert lazy_modules_loaded(tmp_path, chain) == []
+
+    def test_pipeline_loads_no_numpy_ma(self, tmp_path):
+        """A PSD floor, the localized divisor floor and the running-CCF summary
+        take their medians without ``np.median``, which imports numpy.ma."""
+        chain = [
+            ["inject", "--host", "run/noise.gwx", "--signal", "run/gw150914.gwx", "--at", "4",
+             "--out", "run"],
+            ["psd", "--strain", "run/noise.gwx", "--out", "run"],
+            ["whiten", "--strain", "run/injected.gwx", "--psd", "model", "--whiten", "full",
+             "--out", "run"],
+            ["whiten", "--strain", "run/injected.gwx", "--psd", "run/psd.csv",
+             "--whiten", "localized", "--out", "run"],
+            ["whiten", "--strain", "run/injected.gwx", "--psd", "model",
+             "--whiten", "localized", "--out", "run"],
+            ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
+             "--psd", "model", "--mode", "circular", "--out", "run"],
+            ["mf", "--strain", "run/injected.gwx", "--template", "run/gw150914.gwx",
+             "--psd", "run/psd.csv", "--mode", "cyclic_prefix", "--no-reweight",
+             "--out", "run"],
+            ["running-ccf", "--strain", "run/noise.gwx", "--template", "run/gw150914.gwx",
+             "--hop", "1", "--exclude", "3:5", "--out", "run"],
+        ]
+        assert lazy_modules_loaded(tmp_path, chain, modules=("numpy.ma",)) == []
 
     def test_readme_chain_loads_no_scipy(self, tmp_path):
         exit_3 = [argv for argv in README_COMMANDS if _readme_exits_3(argv)]

@@ -1,8 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gwxlab import (
     DegeneracyError,
@@ -294,6 +298,96 @@ class TestDetectLines:
                 detect_lines(psd, median_window_hz=window)
             with pytest.raises(ValidationError, match="median_window_hz must be positive"):
                 whiten_localized(ts, psd, [band], median_window_hz=window)
+
+
+def per_bin_detect_lines(psd, threshold_ratio=10.0, median_window_hz=8.0):
+    """``detect_lines`` as it was, finding the runs of the mask with a
+    per-bin state machine."""
+    values = psd.values
+    baseline = conditioning._running_median(values, psd.df, median_window_hz)
+    mask = values > threshold_ratio * baseline
+    mask &= baseline > 0
+    bands = []
+    freqs = psd.frequencies()
+    in_run = False
+    start = 0
+    for i in range(mask.size + 1):
+        if i < mask.size and mask[i]:
+            if not in_run:
+                in_run, start = True, i
+            continue
+        if in_run:
+            in_run = False
+            stop = i - 1
+            peak = start + int(np.argmax(values[start:stop + 1]))
+            if freqs[peak] <= 0:
+                continue
+            half = 0.5 * (freqs[stop] - freqs[start]) + 0.5 * psd.df
+            ratio = values[peak] / baseline[peak]
+            bands.append(LineBand(f_center=float(freqs[peak]), half_width=float(half),
+                                  peak_ratio=float(ratio)))
+    return list(merge_bands(bands))
+
+
+@st.composite
+def line_spectra(draw):
+    n = draw(st.integers(2, 160))
+    values = np.exp(draw(arrays(np.float64, n, elements=st.floats(-0.5, 0.5))))
+    spikes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(1.0, 12.0)),
+                           max_size=16))
+    for k, log_height in spikes:
+        values[k] = math.exp(log_height)
+    return PowerSpectrum(df=draw(st.sampled_from([0.25, 0.5, 1.0])), values=values)
+
+
+@st.composite
+def masked_spectra(draw):
+    """A PSD and a running-median baseline whose mask is any pattern: at the
+    edges too, which an edge-padded median never flags."""
+    n = draw(st.integers(2, 80))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    heights = draw(arrays(np.float64, n, elements=st.floats(11.0, 1e3)))
+    baseline = np.where(draw(arrays(bool, n)), 0.0, 1.0)
+    psd = PowerSpectrum(df=draw(st.sampled_from([0.25, 1.0])),
+                        values=np.where(mask, heights, 0.5))
+    return psd, baseline
+
+
+class TestDetectLinesOracle:
+    """``detect_lines`` against the per-bin run finder, band for band."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_spectra(), st.sampled_from([1.5, 10.0, 100.0]),
+           st.sampled_from([1.0, 3.0, 8.0]))
+    def test_matches_the_per_bin_runs(self, psd, threshold, window_hz):
+        assert detect_lines(psd, threshold_ratio=threshold, median_window_hz=window_hz) == \
+            per_bin_detect_lines(psd, threshold, window_hz)
+
+    @settings(max_examples=300, deadline=None)
+    @given(masked_spectra())
+    def test_matches_the_per_bin_runs_of_any_mask(self, case):
+        psd, baseline = case
+        with mock.patch.object(conditioning, "_running_median", return_value=baseline):
+            assert detect_lines(psd) == per_bin_detect_lines(psd)
+
+    @pytest.mark.parametrize("heights,count", [
+        ({5: 50}, 1),                             # a single-bin run
+        ({3: 50, 9: 50}, 2),
+        ({0: 50}, 0),                             # peak at DC: no line
+        ({0: 20, 1: 50}, 1),                      # touches DC, peak above it
+        ({15: 50}, 1),                            # the last bin alone
+        ({13: 20, 14: 30, 15: 50}, 1),            # a run ending at the last bin
+        ({k: 20 + k for k in range(16)}, 1),      # one run over the whole grid
+        ({10: 20, 11: 50, 13: 50, 14: 20, 15: 20}, 1),  # merge_bands joins the two runs
+    ])
+    def test_edge_runs(self, heights, count):
+        values = np.ones(16)
+        values[list(heights)] = list(heights.values())
+        psd = PowerSpectrum(df=1.0, values=values)
+        with mock.patch.object(conditioning, "_running_median", return_value=np.ones(16)):
+            bands = detect_lines(psd)
+            assert bands == per_bin_detect_lines(psd)
+        assert len(bands) == count
 
 
 def scipy_running_median(values, df, median_window_hz):

@@ -1057,11 +1057,14 @@ class TestRunningWindowCcf:
                 running_window_ccf(long_ts, tpl.base, hop=0.5, exclusions=[(-1.0, 99.0)])
 
     def test_window_longer_than_the_series_is_error(self):
-        # 40 samples at 10 Hz span 4 s, more than the 50 samples at 100 Hz
+        # 40 samples at 10 Hz span 4 s, more than the 50 samples at 100 Hz;
+        # the rates are compared before any window is laid out
         long_ts = TimeSeries(100.0, 0.0, rng_for(20).standard_normal(50))
         tpl = TimeSeries(10.0, 0.0, rng_for(21).standard_normal(40))
         for cpus in (1, 2):
-            with _with_cpus(cpus), pytest.raises(ValidationError, match="no usable windows"):
+            with _with_cpus(cpus), pytest.raises(
+                    ValidationError, match=re.escape("sample-rate mismatch (window, reference): "
+                                                     "100.0 vs 10.0 Hz")):
                 running_window_ccf(long_ts, tpl, hop=0.1, tau0=0.5)
 
     def test_no_usable_windows_comes_before_a_missing_decorrelation_time(self):

@@ -350,6 +350,27 @@ class TestWelchOracle:
         assert welch_psd(ts, segment_len=4 * 4096).values.tobytes() == want.tobytes()
 
 
+class TestMedian:
+    """``series._median`` against ``np.median``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=1, max_size=60),
+           st.booleans())
+    def test_matches_np_median(self, values, even):
+        if even and len(values) % 2:
+            values = values[:-1] or values * 2
+        values = np.array(values)
+        with np.errstate(over="ignore"):  # two middle values near the float limit
+            assert np.float64(series._median(values)).tobytes() == \
+                np.median(values).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 1000, 1001])
+    def test_ties_and_sizes(self, size):
+        values = np.random.default_rng(size).integers(0, 5, size) * 0.1
+        assert series._median(values) == float(np.median(values))
+
+
 class TestPowerSpectrum:
     def test_nonnegative_enforced(self):
         with pytest.raises(ValidationError):

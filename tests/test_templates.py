@@ -226,6 +226,21 @@ class TestTemplateFiles:
         with pytest.raises(ValidationError):
             stock_template("gw999999")
 
+    @pytest.mark.parametrize("name,args", [
+        ("gw150914", dict(duration=0.2, f_start=35.0, f_end=250.0)),
+        ("gw151226", dict(duration=1.0, f_start=35.0, f_end=350.0, carrier_f0=56.0)),
+        ("gw170104", dict(duration=0.12, f_start=35.0, f_end=300.0)),
+    ])
+    @pytest.mark.parametrize("fs", [1024.0, FS])
+    def test_stock_chirp_bits(self, name, args, fs):
+        """Each row of the table gives the chirp of its old maker's arguments."""
+        got = stock_template(name, fs)
+        want = templates._inspiral_chirp(fs, **args)
+        assert got.f0 == want.f0
+        for field in ("phase", "envelope"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.base.samples.tobytes() == want.base.samples.tobytes()
+
 
 class TestScipyOracles:
     """The numpy stand-ins for scipy.signal and scipy.integrate in the stock

@@ -1,11 +1,14 @@
-"""Print digests of every output of README's command block and of the scenarios.
+"""Print digests of the help texts, of every output of README's command block
+and of the scenarios.
 
 Usage, with the checkout under test on ``PYTHONPATH``:
 
     PYTHONPATH=src python3 tools/output_digest.py > digest.txt
 
-In a fresh temporary directory it runs each ``gwxlab`` line of README.md's
-``sh`` blocks in order, then every scenario at ``--trials 3 --seed 5``.
+In a fresh temporary directory it runs ``gwxlab --help`` and each
+subcommand's ``--help`` at ``COLUMNS=80``, each ``gwxlab`` line of
+README.md's ``sh`` blocks in order, then every scenario at ``--trials 3
+--seed 5``.
 Each command gets one line with its exit code and the sha256 of its
 standard output; after the README block and after each scenario come
 the sha256 of every file written so far, by path relative to the
@@ -26,9 +29,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # runs the gwxlab that PYTHONPATH selects, with its entries made absolute
-# since the commands run in another directory
+# since the commands run in another directory; argparse wraps help text
+# at COLUMNS
 GWXLAB = [sys.executable, "-c", "import sys; from gwxlab.cli import main; sys.exit(main())"]
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+ENV = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
     os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)}
 
 
@@ -45,10 +49,19 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def scenario_names() -> list[str]:
-    code = "from gwxlab.scenarios import SCENARIO_NAMES; print(*SCENARIO_NAMES)"
+def _names(code: str) -> list[str]:
     return subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
                           text=True, check=True).stdout.split()
+
+
+def subcommand_names() -> list[str]:
+    return _names("import argparse; from gwxlab.cli import build_parser; "
+                  "print(*next(a.choices for a in build_parser()._actions "
+                  "if isinstance(a, argparse._SubParsersAction)))")
+
+
+def scenario_names() -> list[str]:
+    return _names("from gwxlab.scenarios import SCENARIO_NAMES; print(*SCENARIO_NAMES)")
 
 
 def sha256(data: bytes) -> str:
@@ -78,6 +91,8 @@ def main() -> int:
     cwd = tempfile.mkdtemp(prefix="gwxlab-digest-")
     seen: set[str] = set()
     try:
+        for argv in [["--help"], *([name, "--help"] for name in subcommand_names())]:
+            run(argv, cwd)
         for argv in readme_commands():
             run(argv, cwd)
         files(cwd, seen)
