@@ -25,6 +25,11 @@ summed spectral autocorrelations of each band's slice of
 band width, and the sum one real inverse transform of length n, so a
 filtered block costs three length-n transforms (strain, z, band power)
 instead of the N + 2 that one inverse transform per band needs.  The
+band power is taken from q = 4 s~ h~* / S_n before q becomes z in place
+(``np.fft.ifft(q, out=q)``), and |z|^2 / N is then formed in z's own
+storage, so each stage of a filtered block keeps one full-length buffer
+alive besides its outputs; each in-place step performs the operations of
+its out-of-place form in the same order, so it gives the same bits.  The
 subtraction makes the round-off absolute, of order eps * rho^2; it can
 only show where the reduced chi-squared is far below 1, which leaves the
 reweighted SNR unchanged.  ``cyclic_prefix`` keeps one filter per band,
@@ -361,41 +366,56 @@ class _MfPlan:
         kernel = np.fft.ifft(g_freq) * (self.nt * self.grid_df)
         return np.conj(np.fft.fft(kernel, self.fft_len))
 
-    def snr_complex(self, strain: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-        """Complex matched-filter series over the output lags, plus the
-        strain-side spectrum that :meth:`chi2_reduced` needs."""
+    def snr_complex(self, strain: TimeSeries) -> tuple[np.ndarray, np.ndarray | None]:
+        """Complex matched-filter series over the output lags, plus, when
+        reweighting, the strain-side power that :meth:`chi2_reduced` takes:
+        sum_i |z_i|^2 in ``circular`` mode, sum_i |z_i - z/N|^2 in
+        ``cyclic_prefix`` mode."""
         n = self.n
+        n_bins = self.cfg.reweight_bins
         if self.cfg.mode == "circular":
             strain_fft = np.fft.rfft(strain.samples)
             q = np.zeros(n, dtype=np.complex128)
             # dt * 4 * X * conj(h) / S, in that order, straight into the band
             q_band = np.multiply(strain_fft[self.band], self.dt, out=q[self.band])
+            del strain_fft
             q_band *= 4.0
             q_band *= self.hconj
             q_band /= self.psd_band
-            return np.fft.ifft(q) * (n * self.grid_df), q
+            power = None if n_bins is None else self._band_power(q)
+            z = np.fft.ifft(q, out=q)  # q becomes z in place
+            z *= n * self.grid_df
+            return z, power
         block_fft = np.fft.fft(strain.samples, self.fft_len)
-        return self._linear_snr(block_fft, self.kernel_spec), block_fft
+        z = self._linear_snr(block_fft, self.kernel_spec)
+        if n_bins is None:
+            return z, None
+        power = np.zeros(self.out_len)
+        expected = z / n_bins
+        for kernel_spec in self.band_kernel_specs:
+            z_i = self._linear_snr(block_fft, kernel_spec)
+            power += np.abs(z_i - expected) ** 2
+        return z, power
 
     def _linear_snr(self, block_fft: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
         # linear correlation against a planned kernel spectrum, full-overlap lags
         corr = np.fft.ifft(block_fft * kernel_spec)
         return 4.0 * self.dt * corr[:self.out_len]
 
-    def chi2_reduced(self, z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Power chi-squared over equal-template-power bands, per output lag."""
+    def chi2_reduced(self, z: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """Power chi-squared over equal-template-power bands, per output lag,
+        in ``power``'s buffer; in ``circular`` mode ``z`` is the scratch."""
         n_bins = self.cfg.reweight_bins
         if self.cfg.mode == "circular":
-            dev2 = self._band_power(spectrum) - (z.real ** 2 + z.imag ** 2) / n_bins
-            chi2 = np.maximum(dev2, 0.0)  # clamp round-off below zero
-        else:
-            chi2 = np.zeros(self.out_len)
-            expected = z / n_bins
-            for kernel_spec in self.band_kernel_specs:
-                z_i = self._linear_snr(spectrum, kernel_spec)
-                chi2 += np.abs(z_i - expected) ** 2
-        chi2 *= n_bins / self.hh
-        return chi2 / (2 * n_bins - 2)
+            # sum_i |z_i|^2 - |z|^2 / N, with |z|^2 / N formed in z's real part
+            z2 = np.square(z.real, out=z.real)
+            z2 += np.square(z.imag, out=z.imag)
+            z2 /= n_bins
+            power -= z2
+            np.maximum(power, 0.0, out=power)  # clamp round-off below zero
+        power *= n_bins / self.hh
+        power /= 2 * n_bins - 2
+        return power
 
     def _band_power(self, q: np.ndarray) -> np.ndarray:
         """sum_i |z_i(t)|^2 over the chi-squared bands, from one length-n iFFT.
@@ -407,10 +427,15 @@ class _MfPlan:
         acf = np.zeros(self.n // 2 + 1, dtype=np.complex128)
         for lo, w, size in self.band_spans:
             spec = np.fft.fft(q[lo:lo + w], size)
+            power = np.square(spec.real)
+            power += np.square(spec.imag, out=spec.imag)
+            del spec  # the widest band's spectrum is the largest buffer here
             # ihfft of a real sequence is its ifft at lags 0..size//2
-            acf[:w] += np.fft.ihfft(spec.real ** 2 + spec.imag ** 2)[:w]
+            acf[:w] += np.fft.ihfft(power)[:w]
         scale = self.n * self.grid_df
-        return np.fft.irfft(acf, self.n) * (scale * scale / self.n)
+        out = np.fft.irfft(acf, self.n)
+        out *= scale * scale / self.n
+        return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -449,7 +474,13 @@ def sigma_norm(template: TimeSeries, psd: PowerSpectrum) -> float:
 def _reweight_factor(chi2_r: np.ndarray) -> np.ndarray:
     factor = np.ones_like(chi2_r)
     high = ~(chi2_r <= 1.0)  # NaN included, as the power of it gives NaN
-    factor[high] = ((1.0 + chi2_r[high] ** 3) / 2.0) ** (-1.0 / 6.0)
+    # ((1 + chi2_r**3) / 2) ** (-1/6) on one gathered copy of the high lags
+    high_chi2 = chi2_r[high]
+    high_chi2 **= 3
+    high_chi2 += 1.0
+    high_chi2 /= 2.0
+    high_chi2 **= -1.0 / 6.0
+    factor[high] = high_chi2
     return factor
 
 
@@ -470,15 +501,17 @@ def matched_filter(
     _check_block(strain, template, cfg)
     with _PLAN_LOCK:
         plan = _plan_for(template, psd, cfg, strain.n, strain.fs)
-    z, spectrum = plan.snr_complex(strain)
+    z, power = plan.snr_complex(strain)
     sigma = math.sqrt(plan.hh)
-    rho = np.abs(z) / sigma
+    rho = np.abs(z)
+    rho /= sigma
     chi2_r = None
-    if cfg.reweight_bins is not None:
-        chi2_r = plan.chi2_reduced(z, spectrum)
-        rho_rw = rho * _reweight_factor(chi2_r)
-    else:
-        rho_rw = rho
+    rho_rw = rho
+    if power is not None:
+        chi2_r = plan.chi2_reduced(z, power)
+        del z
+        rho_rw = _reweight_factor(chi2_r)
+        rho_rw *= rho
     rho.setflags(write=False)  # frozen, so the record adopts both, not copies
     rho_rw.setflags(write=False)
     return SnrSeries(
@@ -714,12 +747,13 @@ def running_window_ccf(
     at ``t0``, ``t0 + hop``, ... (summed hop by hop) and are snapped to the
     sample grid; the scan stops at the first one that runs past the end.
     ``hop`` must be at least one sample, as a shorter one only repeats
-    windows.  Windows intersecting an exclusion range ``(t_a, t_b)`` are
-    skipped, as are zero-energy windows.  The kept windows are correlated
-    ``_CCF_CHUNK_ROWS`` at a time through one :class:`_CcfPlan`, the chunks
-    spread over the idle CPUs by :func:`gwxlab.lanes.run_lanes`, each lane
-    with its own row and FFT buffers.  The columns returned are ordered by
-    window start and do not depend on the CPU count.
+    windows.  Windows intersecting an exclusion range ``(t_a, t_b)``,
+    ``t_a <= t_b``, are skipped, as are zero-energy windows.  The kept
+    windows are correlated ``_CCF_CHUNK_ROWS`` at a time through one
+    :class:`_CcfPlan`, the chunks spread over the idle CPUs by
+    :func:`gwxlab.lanes.run_lanes`, each lane with its own row and FFT
+    buffers.  The columns returned are ordered by window start and do not
+    depend on the CPU count.
     """
     fs = long_ts.fs
     _check_hop(hop, fs)
@@ -733,6 +767,9 @@ def running_window_ccf(
             raise ValidationError(
                 f"an exclusion must be a (start, end) pair of finite numbers, got {pair!r}"
             )
+        if t_b < t_a:
+            raise ValidationError(f"exclusion {pair!r} ends before it starts; "
+                                  f"give it as (start, end)")
         spans.append((float(t_a), float(t_b)))
     if template.n >= long_ts.n:
         raise ValidationError("template must be shorter than the long series")

@@ -13,14 +13,14 @@ order, so the results do not depend on the lane count.
 On glibc the first call also makes the allocator keep freed heap.  A
 32 s matched-filter trial frees 1-2 MiB numpy temporaries, and by
 default glibc hands that memory back to the kernel after each trial, so
-the next trial faults about 3,000 fresh pages (12 MiB) back in: some
-6-10 ms of system time in a 45 ms trial, with both lanes queued in the
-page-fault path.  Three ``mallopt`` values stop that: one arena, so the
-lanes share one heap; a 32 MiB mmap threshold, glibc's 64-bit ceiling
-for its own dynamic threshold; and a 64 MiB trim threshold, twice that,
-as glibc's dynamic rule would set it.  They go together, because any one
-``mallopt`` turns the dynamic rule off.  The kept heap costs 1-3 MiB
-of peak RSS.
+the next trial faults about 3,000 fresh pages (11.6 MiB) back in: some
+4 ms of system time in a 23 ms one-lane trial, and more with both lanes
+queued in the page-fault path.  Three ``mallopt`` values stop that: one
+arena, so the lanes share one heap; a 32 MiB mmap threshold, glibc's
+64-bit ceiling for its own dynamic threshold; and a 64 MiB trim
+threshold, twice that, as glibc's dynamic rule would set it.  They go
+together, because any one ``mallopt`` turns the dynamic rule off.  The
+kept heap costs 1-3 MiB of peak RSS.
 """
 
 from __future__ import annotations

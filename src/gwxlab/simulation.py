@@ -206,7 +206,11 @@ def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> Tim
         raise ValidationError("duration * fs must be at least 2 samples")
     rng = rng_for(seed)
     n_f = n // 2 + 1
-    scale = np.sqrt(_model_psd(model, n, fs).values * n * fs / 2.0)
+    # sqrt(psd * n * fs / 2), one operation at a time in one buffer
+    scale = _model_psd(model, n, fs).values * n
+    scale *= fs
+    scale /= 2.0
+    np.sqrt(scale, out=scale)
     re = rng.standard_normal(n_f)
     im = rng.standard_normal(n_f)
     # real Nyquist bin; one-sided density there has no factor 2
@@ -219,10 +223,14 @@ def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> Tim
     bins = np.empty(n_f, dtype=np.complex128)
     bins.real = re
     bins.imag = im
+    del re, im, scale  # only the bins stay alive through the transform
     bins[0] = 0.0
     if n % 2 == 0:
         bins[-1] = nyquist
-    return TimeSeries(fs=fs, t0=0.0, samples=np.fft.irfft(bins, n=n))
+    samples = np.fft.irfft(bins, n=n)
+    del bins
+    samples.setflags(write=False)  # adopted by the series, not copied
+    return TimeSeries(fs=fs, t0=0.0, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -312,4 +320,5 @@ def inject(host: TimeSeries, signal: TimeSeries, t_at: float) -> TimeSeries:
         )
     out = host.samples.copy()
     out[j:j + signal.n] += signal.samples
+    out.setflags(write=False)  # adopted by the series, not copied
     return TimeSeries(host.fs, host.t0, out)

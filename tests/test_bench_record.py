@@ -10,8 +10,11 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
+METRICS = bench_record.end_to_end_metrics()
+
+
 def _result(throughput, rss=100.0, failed=0):
-    metrics = {name: {"value": 1.0, "unit": "x"} for name in bench_record.HIGHER_IS_BETTER}
+    metrics = {name: {"value": 1.0, "unit": "x"} for name in METRICS}
     metrics["throughput_per_s"]["value"] = throughput
     metrics["peak_rss_mib"]["value"] = rss
     return {"correct": failed == 0, "attempted": 5, "failed": failed, "metrics": metrics}
@@ -47,19 +50,61 @@ class TestParseRun:
             bench_record.parse_run(json.dumps(_result(0.3)) + "\n", "cli-pipeline")
 
 
-class TestSummarize:
-    def _run(self, label, seed, throughput, trace=0, rss=100.0):
-        return {"label": label, "workload": "cli-pipeline",
-                "meta": {"workload_seed": seed, "trace": trace},
-                "result": _result(throughput, rss)}
+def _run(label, seed, throughput, trace=0, rss=100.0):
+    return {"label": label, "workload": "cli-pipeline",
+            "meta": {"workload_seed": seed, "trace": trace},
+            "result": _result(throughput, rss)}
 
+
+class TestSummarize:
     def test_pairs_by_seed_and_counts_wins(self):
-        runs = [self._run("parent", 1, 0.2), self._run("change", 1, 0.3),
-                self._run("parent", 2, 0.2), self._run("change", 2, 0.1, rss=90.0),
-                self._run("change", 3, 0.5),                 # unpaired: ignored
-                self._run("parent", 1, 9.0, trace=1)]        # traced: ignored
+        runs = [_run("parent", 1, 0.2), _run("change", 1, 0.3),
+                _run("parent", 2, 0.2), _run("change", 2, 0.1, rss=90.0),
+                _run("change", 3, 0.5),                 # unpaired: ignored
+                _run("parent", 1, 9.0, trace=1)]        # traced: ignored
         summary = bench_record.summarize(runs)["cli-pipeline"]
         assert summary["pairs"] == 2
         assert summary["throughput_per_s"]["change_wins"] == 1
         assert summary["peak_rss_mib"]["change_wins"] == 1   # lower is better
         assert summary["failed"] == {"parent": 0, "change": 0}
+
+    def test_flags_a_median_worse_than_its_bound(self):
+        # peak RSS (lower is better, bound 0.1) and throughput (higher, 0.25)
+        def summary(parent, change):
+            runs = [_run(label, seed, t, rss=r)
+                    for seed, sides in enumerate(zip(parent, change))
+                    for label, (t, r) in zip(bench_record.LABELS, sides)]
+            return bench_record.summarize(runs)["cli-pipeline"]
+
+        inside = summary([(1.0, 100.0)] * 3, [(0.8, 109.0)] * 3)
+        assert inside["over_bound"] == []
+        assert inside["peak_rss_mib"]["median_change"] == pytest.approx(0.09)
+        assert inside["throughput_per_s"]["median_change"] == pytest.approx(-0.2)
+        outside = summary([(1.0, 100.0)] * 3, [(0.7, 111.0), (0.74, 112.0), (2.0, 90.0)])
+        assert outside["over_bound"] == ["throughput_per_s", "peak_rss_mib"]
+        assert outside["peak_rss_mib"]["worse_than_bound"] is True
+        assert outside["op_ms_p50"]["worse_than_bound"] is False
+        better = summary([(1.0, 100.0)] * 3, [(9.0, 10.0)] * 3)  # far better is no flag
+        assert better["over_bound"] == []
+
+
+class TestDeclaredMetrics:
+    def test_read_from_the_benchmark_declaration(self):
+        with open(bench_record.BENCHMARK_PATH, encoding="utf-8") as fh:
+            declared = json.load(fh)["end_to_end"]
+        assert list(METRICS) == [m["name"] for m in declared]
+        assert METRICS["throughput_per_s"] == (True, 0.25)
+        assert METRICS["peak_rss_mib"] == (False, 0.1)
+
+    def test_direction_and_bound_follow_the_file(self, tmp_path):
+        path = tmp_path / "BENCHMARK.json"
+        path.write_text(json.dumps({"end_to_end": [
+            {"name": "throughput_per_s", "better": "lower", "bound": 0.5}]}))
+        metrics = bench_record.end_to_end_metrics(str(path))
+        assert metrics == {"throughput_per_s": (False, 0.5)}
+        runs = [_run(label, 1, t)
+                for label, t in zip(bench_record.LABELS, (1.0, 1.4))]
+        entry = bench_record.summarize(runs, metrics)["cli-pipeline"]
+        assert set(entry) == {"pairs", "failed", "throughput_per_s", "over_bound"}
+        assert entry["throughput_per_s"]["change_wins"] == 0
+        assert entry["over_bound"] == []

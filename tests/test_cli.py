@@ -139,6 +139,16 @@ class TestBasicCommands:
         header = (tmp_path / "running.csv").read_text().splitlines()[0]
         assert header == "t_start_s,peak_abs_ccf,r3"
 
+    def test_running_ccf_reversed_exclusion(self, tmp_path, noise_file, template_file,
+                                            capsys):
+        # it excluded nothing and exited 0 before
+        code = run("running-ccf", "--strain", str(noise_file),
+                   "--template", str(template_file), "--hop", "1.0",
+                   "--exclude", "3:2", "--out", str(tmp_path))
+        assert code == 2
+        assert "exclusion (3.0, 2.0) ends before it starts" in capsys.readouterr().err
+        assert not (tmp_path / "running.csv").exists()
+
     def test_running_ccf_hop_below_one_sample(self, tmp_path, noise_file, template_file,
                                               capsys):
         code = run("running-ccf", "--strain", str(noise_file),
@@ -456,8 +466,9 @@ class TestWrongShapeJson:
         ({"hop": 10**400}, "option 'hop' must be a finite number"),
         ({"hop": 1e-12}, "hop must be at least one sample (1/fs = 0.000244140625 s), "
                          "got 1e-12"),
+        ({"exclusions": [[3, 2]]}, "exclusion [3, 2] ends before it starts"),
     ], ids=["hop", "exclusion", "duration", "exclusions", "edge_exclusion", "band",
-            "huge-duration", "huge-hop", "sub-sample-hop"])
+            "huge-duration", "huge-hop", "sub-sample-hop", "reversed-exclusion"])
     def test_running_baseline_option_values(self, tmp_path, capsys, options, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"options": {"duration": 8.0, **options}}))
@@ -788,6 +799,8 @@ class TestLazyImports:
             project = tomllib.load(fh)["project"]
         names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]]
         assert names == ["numpy"]
+        # np.fft.*(out=), which the band-pass, the CCF and the filter use, is numpy 2.0's
+        assert project["dependencies"] == ["numpy>=2.0"]
         assert any(req.startswith("scipy")
                    for req in project["optional-dependencies"]["test"])
 
@@ -807,7 +820,8 @@ class TestLazyImports:
 
     def test_pipeline_loads_no_numpy_ma(self, tmp_path):
         """A PSD floor, the localized divisor floor and the running-CCF summary
-        take their medians without ``np.median``, which imports numpy.ma."""
+        take their medians without ``np.median``, and a scenario summary its
+        quantiles without ``np.quantile``; both import numpy.ma."""
         chain = [
             ["inject", "--host", "run/noise.gwx", "--signal", "run/gw150914.gwx", "--at", "4",
              "--out", "run"],
@@ -825,6 +839,8 @@ class TestLazyImports:
              "--out", "run"],
             ["running-ccf", "--strain", "run/noise.gwx", "--template", "run/gw150914.gwx",
              "--hop", "1", "--exclude", "3:5", "--out", "run"],
+            ["scenario", "run", "mf-sine-misfire", "--trials", "3", "--seed", "3",
+             "--out", "runs"],
         ]
         assert lazy_modules_loaded(tmp_path, chain, modules=("numpy.ma",)) == []
 

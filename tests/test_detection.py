@@ -35,7 +35,7 @@ from gwxlab import (
     stock_template,
     template_error,
 )
-from gwxlab import detection, lanes
+from gwxlab import detection, lanes, simulation
 from gwxlab.conditioning import butterworth_bandpass, whiten_full
 from gwxlab.simulation import PsdModel, PsdSegment
 
@@ -564,8 +564,8 @@ class TestPlannedCyclicPrefix:
         detection._plan_for.cache_clear()
         plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
         assert plan.fft_len == next_fast_len(strain.n)  # the bare strain, no prefix
-        z, spectrum = plan.snr_complex(strain)
-        chi2 = plan.chi2_reduced(z, spectrum)
+        z, power = plan.snr_complex(strain)
+        chi2 = plan.chi2_reduced(z, power)
         z_ref, chi2_ref = prefixed_chi2_oracle(strain, tpl, psd, 4)
         assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
         assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
@@ -583,10 +583,10 @@ class TestPlannedCyclicPrefix:
         detection._plan_for.cache_clear()
         plan = detection._plan_for(tpl, psd, cfg, strain.n, strain.fs)
         assert plan.fft_len > strain.n
-        z, spectrum = plan.snr_complex(strain)
+        z, power = plan.snr_complex(strain)
         z_ref, chi2_ref = prefixed_chi2_oracle(strain, tpl, psd, 4)
         assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
-        chi2 = plan.chi2_reduced(z, spectrum)
+        chi2 = plan.chi2_reduced(z, power)
         assert np.max(np.abs(chi2 - chi2_ref)) <= 1e-12 * np.max(chi2_ref)
 
 
@@ -642,6 +642,142 @@ def gathered_mf_oracle(strain, template, psd, cfg):
     chi2 *= n_bins / hh
     chi2 /= 2 * n_bins - 2
     return rho, rho * detection._reweight_factor(chi2), chi2
+
+
+def out_of_place_reweight_factor(chi2_r):
+    """``_reweight_factor`` as it was before it worked on one gathered copy."""
+    factor = np.ones_like(chi2_r)
+    high = ~(chi2_r <= 1.0)
+    factor[high] = ((1.0 + chi2_r[high] ** 3) / 2.0) ** (-1.0 / 6.0)
+    return factor
+
+
+def out_of_place_chi2_tail(plan, z, power):
+    """The clamp and both scalings of ``chi2_reduced`` from full-length
+    temporaries, as before they ran in place: ``power`` is sum_i |z_i|^2 in
+    ``circular`` mode and the chi-squared sum in ``cyclic_prefix`` mode."""
+    n_bins = plan.cfg.reweight_bins
+    if plan.cfg.mode == "circular":
+        power = np.maximum(power - (z.real ** 2 + z.imag ** 2) / n_bins, 0.0)
+    chi2 = power * (n_bins / plan.hh)
+    return chi2 / (2 * n_bins - 2)
+
+
+def out_of_place_mf_oracle(plan, strain):
+    """rho, rho_reweighted and chi2_reduced of a planned filter with every
+    full-length temporary kept, in the order the in-place filter must
+    reproduce bit for bit: z before the band power, out-of-place squares,
+    scalings and reweighting."""
+    n, n_bins = plan.n, plan.cfg.reweight_bins
+    if plan.cfg.mode == "circular":
+        strain_fft = np.fft.rfft(strain.samples)
+        q = np.zeros(n, dtype=np.complex128)
+        q_band = np.multiply(strain_fft[plan.band], plan.dt, out=q[plan.band])
+        q_band *= 4.0
+        q_band *= plan.hconj
+        q_band /= plan.psd_band
+        z = np.fft.ifft(q) * (n * plan.grid_df)
+        if n_bins is not None:
+            acf = np.zeros(n // 2 + 1, dtype=np.complex128)
+            for lo, w, size in plan.band_spans:
+                spec = np.fft.fft(q[lo:lo + w], size)
+                acf[:w] += np.fft.ihfft(spec.real ** 2 + spec.imag ** 2)[:w]
+            scale = n * plan.grid_df
+            power = np.fft.irfft(acf, n) * (scale * scale / n)
+    else:
+        block_fft = np.fft.fft(strain.samples, plan.fft_len)
+        z = plan._linear_snr(block_fft, plan.kernel_spec)
+        if n_bins is not None:
+            power = np.zeros(plan.out_len)
+            for kernel_spec in plan.band_kernel_specs:
+                power += np.abs(plan._linear_snr(block_fft, kernel_spec) - z / n_bins) ** 2
+    rho = np.abs(z) / math.sqrt(plan.hh)
+    if n_bins is None:
+        return rho, rho, None
+    chi2 = out_of_place_chi2_tail(plan, z, power)
+    return rho, rho * out_of_place_reweight_factor(chi2), chi2
+
+
+class TestInPlaceFilter:
+    """The filter that keeps one full-length buffer per stage against the
+    out-of-place filter, by bytes."""
+
+    @pytest.mark.parametrize("kind", ["gw150914", "gw151226", "gw170104"])
+    @pytest.mark.parametrize("band", [None, (20.0, 500.0), (43.0, 300.0)])
+    @pytest.mark.parametrize("mode, n_bins", [("circular", 16), ("circular", 4),
+                                              ("circular", None), ("cyclic_prefix", 4),
+                                              ("cyclic_prefix", None)])
+    def test_matches_the_out_of_place_filter(self, kind, band, mode, n_bins):
+        model = default_detector_model()
+        n = int(32 * FS)
+        psd = simulation._model_psd(model, n, FS)
+        tpl = stock_template(kind, FS).base
+        cfg = MfConfig(mode=mode, reweight_bins=n_bins, band=band)
+        plan = detection._MfPlan(tpl, psd, cfg, n, FS)
+        amp = 12.0 / math.sqrt(plan.hh)
+        for seed in range(3):
+            strain = inject(colored_noise(model, 32.0, FS, seed=seed),
+                            tpl.with_samples(amp * tpl.samples), 9.0 + seed)
+            with mock.patch.object(detection, "_plan_for", lambda *args: plan):
+                got = matched_filter(strain, tpl, psd, cfg)
+            rho, rho_rw, chi2 = out_of_place_mf_oracle(plan, strain)
+            assert got.rho.tobytes() == rho.tobytes()
+            assert got.rho_reweighted.tobytes() == rho_rw.tobytes()
+            if n_bins is None:
+                assert got.chi2_reduced is None
+            else:
+                assert got.chi2_reduced.tobytes() == chi2.tobytes()
+                # both regimes of the reweighting are exercised; on raw
+                # strain the cyclic-prefix kernel sees the seismic wall
+                assert np.any(chi2 > 1.0) and (mode != "circular" or np.any(chi2 <= 1.0))
+
+    @pytest.mark.parametrize("mode", ["circular", "cyclic_prefix"])
+    def test_chi2_tail_and_reweighting_keep_nan_and_inf(self, mode):
+        n = 256
+        tpl = TimeSeries(FS, 0.0, rng_for(31).standard_normal(64))
+        plan = detection._MfPlan(tpl, flat_psd(), MfConfig(block_len=None, mode=mode,
+                                                           reweight_bins=4), n, FS)
+        size = n if mode == "circular" else plan.out_len
+        rng = rng_for(32)
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        power = np.abs(rng.standard_normal(size)) * 3.0
+        z[:3] = [np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)]
+        power[3:7] = [np.nan, np.inf, -np.inf, -0.0]
+        want = out_of_place_chi2_tail(plan, z, power)
+        got = plan.chi2_reduced(z.copy(), power.copy())
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).any()
+        assert detection._reweight_factor(got).tobytes() == \
+            out_of_place_reweight_factor(want).tobytes()
+
+    def test_reweight_factor_matches_the_out_of_place_factor(self):
+        rng = rng_for(33)
+        edges = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 1e3, 1e200, np.inf,
+                          -np.inf, np.nan, -np.nan])
+        for chi2_r in [edges, np.empty(0), rng.exponential(1.0, 10_000) * 3.0,
+                       np.where(rng.random(1000) < 0.3, np.nan, rng.exponential(2.0, 1000))]:
+            with np.errstate(over="ignore"):  # 1e200 ** 3
+                got = detection._reweight_factor(chi2_r)
+                want = out_of_place_reweight_factor(chi2_r)
+            assert got.tobytes() == want.tobytes()
+
+    def test_warm_32s_filter_keeps_its_traced_peak_below_7_5_mib(self):
+        # 9.8 MiB when every stage kept its full-length temporaries
+        model = default_detector_model()
+        n = int(32 * FS)
+        psd = simulation._model_psd(model, n, FS)
+        tpl = stock_template("gw150914", FS).base
+        strain = colored_noise(model, 32.0, FS, seed=4)
+        cfg = MfConfig()
+        matched_filter(strain, tpl, psd, cfg)  # builds the plan
+        tracemalloc.start()
+        try:
+            snr = matched_filter(strain, tpl, psd, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert snr.chi2_reduced.size == n
+        assert peak < 7.5 * 2**20
 
 
 class TestBandSlice:
@@ -1161,6 +1297,24 @@ class TestRunningWindowCcf:
             t += hop
         got = detection._window_starts(t0, hop, span, lambda t: t <= reach)
         assert got.tolist() == expected
+
+    @pytest.mark.parametrize("pair", [(3.0, 2.0), [1.0, np.nextafter(1.0, 0.0)]])
+    def test_reversed_exclusion_is_refused(self, pair):
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"exclusion {pair!r} ends before it starts")):
+            running_window_ccf(long_ts, tpl, hop=0.5, exclusions=[pair], tau0=0.2)
+
+    def test_point_exclusion_skips_the_windows_holding_it(self):
+        # (t, t) is legal: it drops the windows that hold t and no other
+        long_ts = TimeSeries(8.0, 0.0, rng_for(18).standard_normal(40))
+        tpl = TimeSeries(8.0, 0.0, rng_for(19).standard_normal(8))
+        full = running_window_ccf(long_ts, tpl, hop=0.5, tau0=0.2)
+        point = running_window_ccf(long_ts, tpl, hop=0.5, exclusions=[(2.0, 2.0)], tau0=0.2)
+        holds = (full.t_start < 2.0) & (full.t_start + tpl.duration > 2.0)
+        assert holds.sum() == 1  # the 1 s windows at 1.5 s
+        assert point.t_start.tolist() == full.t_start[~holds].tolist()
 
     @pytest.mark.parametrize("pair", [(1.0,), (1.0, "x"), 1.0, (1.0, float("inf"))])
     def test_bad_exclusion(self, pair):

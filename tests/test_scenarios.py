@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwxlab import (
     DegeneracyError,
@@ -16,6 +18,7 @@ from gwxlab import (
     GwxError,
     SCENARIO_NAMES,
     ScenarioConfig,
+    SnrSeries,
     TimeSeries,
     TrialReport,
     ValidationError,
@@ -132,6 +135,46 @@ class TestMonteCarlo:
 
         with pytest.raises(DegeneracyError, match="trial 0"):
             monte_carlo(trial, 1, seed_base=1)
+
+
+class TestQuantiles:
+    """``_quantiles`` against ``np.quantile``'s linear method, by bytes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    min_size=1, max_size=120))
+    def test_matches_np_quantile_by_bytes(self, values):
+        with np.errstate(invalid="ignore", over="ignore"):  # infinities, huge spans
+            got = scenarios._quantiles(values)
+            want = np.quantile(np.array(values), [0.05, 0.5, 0.95])
+        assert np.array([got["p5"], got["p50"], got["p95"]]).tobytes() == want.tobytes()
+
+    def test_nan_values_are_left_out(self):
+        assert scenarios._quantiles([math.nan, 2.0, math.nan, 1.0]) == \
+            scenarios._quantiles([2.0, 1.0])
+        assert scenarios._quantiles([math.nan]) is None
+        assert scenarios._quantiles([]) is None
+
+
+class TestSnrFigure:
+    def test_time_column_is_times_by_bytes(self, tmp_path):
+        # more rows than one write block, and a start time far from zero
+        rng = np.random.default_rng(8)
+        rho = np.abs(rng.standard_normal(20_000))
+        snr = SnrSeries(fs=4096.0, t0=1126259446.4, rho=rho, rho_reweighted=rho * 0.5,
+                        sigma=1.0, mode="circular")
+        header, table = scenarios._snr_figure(snr)
+        column = table.columns[0]
+        assert header[0] == "t_s" and len(column) == snr.rho.size
+        assert np.asarray(column).tobytes() == snr.times().tobytes()
+        for a, b in [(0, 1), (8192, 16384), (16384, 24576), (19_999, 20_000)]:
+            assert column[a:b].tobytes() == snr.times()[a:b].tobytes()
+        lazy, eager = tmp_path / "lazy.csv", tmp_path / "eager.csv"
+        scenarios._write_figure(str(lazy), (header, table))
+        scenarios._write_figure(str(eager), (header, scenarios._Columns(
+            snr.times(), snr.rho, snr.rho_reweighted)))
+        assert lazy.read_bytes() == eager.read_bytes()
+        assert next(iter(table)) == (snr.t0, rho[0], rho[0] * 0.5)
 
 
 def _with_lanes(cpus: int):

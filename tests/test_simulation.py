@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,48 @@ class TestColoredNoise:
             got = colored_noise(model, n / 4096.0, 4096.0, seed=seed).samples
             assert got.size == n
             np.testing.assert_array_equal(got, oracle(model, n / 4096.0, 4096.0, seed))
+
+    @pytest.mark.parametrize("n", [131_072, 4097])
+    def test_matches_the_out_of_place_synthesis(self, n):
+        # oracle: the synthesis with every full-length temporary kept, as
+        # before ``scale`` was built in place and the draws freed early
+        def oracle(model, duration, fs, seed):
+            n = int(round(duration * fs))
+            rng = rng_for(seed)
+            n_f = n // 2 + 1
+            scale = np.sqrt(simulation._model_psd(model, n, fs).values * n * fs / 2.0)
+            re = rng.standard_normal(n_f)
+            im = rng.standard_normal(n_f)
+            nyquist = re[-1] * scale[-1] * math.sqrt(2.0)
+            for draws in (re, im):
+                draws *= 1.0 / math.sqrt(2.0)
+                draws *= scale
+            bins = np.empty(n_f, dtype=np.complex128)
+            bins.real = re
+            bins.imag = im
+            bins[0] = 0.0
+            if n % 2 == 0:
+                bins[-1] = nyquist
+            return np.fft.irfft(bins, n=n)
+
+        for model in (default_detector_model(), FLAT):
+            for seed in range(3):
+                got = colored_noise(model, n / 4096.0, 4096.0, seed=seed).samples
+                assert got.tobytes() == oracle(model, n / 4096.0, 4096.0, seed).tobytes()
+
+    def test_32s_synthesis_keeps_its_traced_peak_below_3_5_mib(self):
+        # 4.6 MiB when the scale temporaries, the draws and a copy of the
+        # transform were alive together
+        model = default_detector_model()
+        colored_noise(model, 32.0, 4096.0, seed=1)  # evaluates the PSD grid
+        tracemalloc.start()
+        try:
+            noise = colored_noise(model, 32.0, 4096.0, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert noise.n == 131_072
+        assert peak < 3.5 * 2**20
 
     def test_distinct_seeds_uncorrelated(self):
         a = colored_noise(FLAT, 16.0, 4096.0, seed=1)

@@ -20,8 +20,10 @@ that share the host's state.
 
 After every run the record's ``summary`` is rebuilt: for every untraced
 workload that both labels ran on the same seeds, the quartiles of each
-end-to-end metric per label and the number of seeds on which ``change``
-was better.
+end-to-end metric per label, the number of seeds on which ``change`` was
+better, the change of the median relative to the parent's, and whether
+that change is worse than the metric's bound.  Each metric's direction
+(``better``) and bound come from ``BENCHMARK.json``, which is only read.
 """
 
 from __future__ import annotations
@@ -34,10 +36,16 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK_PATH = os.path.join(ROOT, "BENCHMARK.json")
 LABELS = ("parent", "change")
-# end-to-end metrics and whether higher is better, as in BENCHMARK.json
-HIGHER_IS_BETTER = {"throughput_per_s": True, "op_ms_p50": False, "op_ms_tail": False,
-                    "setup_s": False, "peak_rss_mib": False}
+
+
+def end_to_end_metrics(path: str = BENCHMARK_PATH) -> dict[str, tuple[bool, float]]:
+    """``{metric: (higher is better, bound)}`` for each end-to-end metric
+    the benchmark declares."""
+    with open(path, encoding="utf-8") as fh:
+        declared = json.load(fh)["end_to_end"]
+    return {m["name"]: (m["better"] == "higher", float(m["bound"])) for m in declared}
 
 
 def _git(repo: str, *args: str) -> str:
@@ -77,8 +85,12 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per-label quartiles and seed-paired wins of the untraced end-to-end metrics."""
+def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]] | None = None) -> dict:
+    """Per-label quartiles, seed-paired wins and the median's relative change
+    of the untraced end-to-end ``metrics`` (by default those of
+    ``BENCHMARK.json``); ``worse_than_bound`` flags a change median worse
+    than the parent median by more than the metric's bound."""
+    metrics = end_to_end_metrics() if metrics is None else metrics
     table = {}
     for run in runs:
         if run["meta"]["trace"] == 0:
@@ -92,14 +104,19 @@ def summarize(runs: list[dict]) -> dict:
             continue
         entry = {"pairs": len(paired),
                  "failed": {label: sum(s[label]["failed"] for s in paired) for label in LABELS}}
-        for metric, higher in HIGHER_IS_BETTER.items():
+        for metric, (higher, bound) in metrics.items():
             values = {label: [s[label]["metrics"][metric]["value"] for s in paired]
                       for label in LABELS}
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(values["parent"], values["change"]))
-            entry[metric] = {**{f"{label}_quartiles": _quartiles(values[label])
-                                for label in LABELS},
-                             "change_wins": wins}
+            quartiles = {label: _quartiles(values[label]) for label in LABELS}
+            parent_median, change_median = quartiles["parent"][1], quartiles["change"][1]
+            relative = (change_median - parent_median) / parent_median
+            entry[metric] = {**{f"{label}_quartiles": quartiles[label] for label in LABELS},
+                             "change_wins": wins,
+                             "median_change": relative,
+                             "worse_than_bound": (-relative if higher else relative) > bound}
+        entry["over_bound"] = [m for m in metrics if entry[m]["worse_than_bound"]]
         out[workload] = entry
     return out
 
