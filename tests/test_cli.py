@@ -141,7 +141,6 @@ class TestBasicCommands:
 
     def test_running_ccf_reversed_exclusion(self, tmp_path, noise_file, template_file,
                                             capsys):
-        # it excluded nothing and exited 0 before
         code = run("running-ccf", "--strain", str(noise_file),
                    "--template", str(template_file), "--hop", "1.0",
                    "--exclude", "3:2", "--out", str(tmp_path))

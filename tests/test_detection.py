@@ -732,11 +732,12 @@ class TestInPlaceFilter:
                 assert np.any(chi2 > 1.0) and (mode != "circular" or np.any(chi2 <= 1.0))
 
     @pytest.mark.parametrize("mode", ["circular", "cyclic_prefix"])
-    def test_chi2_tail_and_reweighting_keep_nan_and_inf(self, mode):
+    @pytest.mark.parametrize("n_bins", [4, 5])  # 5: dividing by N is not exact
+    def test_chi2_tail_and_reweighting_keep_nan_and_inf(self, mode, n_bins):
         n = 256
         tpl = TimeSeries(FS, 0.0, rng_for(31).standard_normal(64))
         plan = detection._MfPlan(tpl, flat_psd(), MfConfig(block_len=None, mode=mode,
-                                                           reweight_bins=4), n, FS)
+                                                           reweight_bins=n_bins), n, FS)
         size = n if mode == "circular" else plan.out_len
         rng = rng_for(32)
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)

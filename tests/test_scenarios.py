@@ -158,10 +158,11 @@ class TestQuantiles:
 
 class TestSnrFigure:
     def test_time_column_is_times_by_bytes(self, tmp_path):
-        # more rows than one write block, and a start time far from zero
+        # more rows than one write block, and a rate whose reciprocal is
+        # inexact, from a start time small enough to keep the last bits
         rng = np.random.default_rng(8)
         rho = np.abs(rng.standard_normal(20_000))
-        snr = SnrSeries(fs=4096.0, t0=1126259446.4, rho=rho, rho_reweighted=rho * 0.5,
+        snr = SnrSeries(fs=1000.0, t0=2.5, rho=rho, rho_reweighted=rho * 0.5,
                         sigma=1.0, mode="circular")
         header, table = scenarios._snr_figure(snr)
         column = table.columns[0]
