@@ -51,6 +51,7 @@ from .series import (
     _json_text,
     _median,
     _read_json,
+    _samples,
     _write_json,
     load_psd_csv,
     load_strain,
@@ -155,7 +156,7 @@ def _cmd_psd(args) -> int:
         if args.segment > ts.duration:
             raise ValidationError(f"--segment {args.segment:g} s exceeds the strain's "
                                   f"{ts.duration:g} s")
-        seg = int(round(args.segment * ts.fs))
+        seg = _samples(args.segment, ts.fs, "--segment")
         if seg < 2:
             raise ValidationError(f"--segment {args.segment:g} s is shorter than two "
                                   f"samples at {ts.fs:g} Hz")
@@ -424,6 +425,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (GwxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the input needs more memory than this machine has; shrink --duration "
+              "or --fs, or a scenario's --fs or duration option", file=sys.stderr)
         return 2
 
 

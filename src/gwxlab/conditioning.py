@@ -316,7 +316,10 @@ def detect_lines(
 
     Returns maximal bands where ``psd > threshold_ratio * running_median``,
     merged and sorted by center frequency.  Band centers sit on the peak
-    bin of each run.
+    bin of each run.  The median's edge padding makes the first and last
+    bins their own medians, so they are never flagged, nor is a short run
+    within half a window of either edge; symmetric or reflecting padding
+    would flag the seismic wall of a 4 s Welch PSD as a line at 0.5 Hz.
     """
     if not threshold_ratio > 1:
         raise ValidationError(f"threshold_ratio must exceed 1, got {threshold_ratio}")

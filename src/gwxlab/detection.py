@@ -21,11 +21,13 @@ measures sum_i |z_i - z/N|^2.  Because the bands partition the bins,
 
 and in ``circular`` mode sum_i |z_i(t)|^2 is the Fourier series of the
 summed spectral autocorrelations of each band's slice of
-4 s~ h~* / S_n.  Each autocorrelation costs two FFTs of about twice the
-band width, and the sum one real inverse transform of length n, so a
-filtered block costs three length-n transforms (strain, z, band power)
-instead of the N + 2 that one inverse transform per band needs.  The
-band power is taken from q = 4 s~ h~* / S_n before q becomes z in place
+4 s~ h~* / S_n.  So a filtered block costs one rfft (strain), one complex
+ifft (z) and one irfft (band power) of length n, plus one FFT and one
+ihfft per band, each about twice the band's width, instead of the N + 2
+length-n transforms of one inverse transform per band.  The widest band
+can hold most of the grid: for gw150914 on the 32 s stock grid it holds
+62,362 of 65,536 bins, so its FFT has 124,740 points.  The band power is
+taken from q = 4 s~ h~* / S_n before q becomes z in place
 (``np.fft.ifft(q, out=q)``), and |z|^2 / N is then formed in z's own
 storage, so each stage of a filtered block keeps one full-length buffer
 alive besides its outputs; each in-place step performs the operations of
@@ -54,11 +56,11 @@ CCF: a real FFT pair gives the circular CCF of each row, lags 0..m at
 its head and -m..-1 at its tail, and the |CCF| peak and R3 are maxima
 over slices of its magnitude.  A single CCF uses a one-shot plan and
 reads its signed lag grid from the same two slices.  The running-window
-CCF keeps one plan for the whole scan and works on arrays throughout:
-the window starts are one running sum and the exclusions vector masks;
-the windows are gathered from a strided view of the long series, one
-gather per 64-row chunk, and divided by their norms straight into a
-zero-padded row buffer; the chunk's FFT pair writes into that lane's
+CCF keeps one plan for the whole scan.  Its window starts are the sums of
+a ``t += hop`` loop; from there it works on arrays: the exclusions are
+vector masks, the windows are gathered from a strided view of the long
+series, one gather per 64-row chunk, and divided by their norms straight
+into a zero-padded row buffer; the chunk's FFT pair writes into that lane's
 spectrum and output buffers, and the magnitude is taken in place.
 Batching changes values by round-off only, about 1e-16 on values
 bounded by 1.  The scan returns columns, not one object per window.
@@ -280,14 +282,10 @@ def _check_block(strain: TimeSeries, template: TimeSeries, cfg: MfConfig) -> Non
                 f"block_len * fs must be an integer sample count, got {block_samples}"
             )
         if int(round(block_samples)) != n:
-            raise ValidationError(
-                f"strain holds {n} samples but block_len asks for "
-                f"{int(round(block_samples))}"
-            )
+            raise ValidationError(f"strain holds {n} samples but block_len asks for "
+                                  f"{int(round(block_samples))}")
     if n < 2 * nt:
-        raise ValidationError(
-            f"block must be at least twice the template length ({n} < {2 * nt})"
-        )
+        raise ValidationError(f"block must be at least twice the template length ({n} < {2 * nt})")
 
 
 class _MfPlan:
@@ -582,16 +580,12 @@ def _lag_samples(fs: float, n: int, reference: TimeSeries, max_lag: float) -> in
     ``fs`` against ``reference``, once the pair and the range are checked."""
     _check_rate(fs, reference.fs, "window, reference")
     if n != reference.n:
-        raise ValidationError(
-            f"windows must have equal duration: {n} vs {reference.n} samples"
-        )
+        raise ValidationError(f"windows must have equal duration: {n} vs {reference.n} samples")
     lag_samples = int(round(max_lag * fs))
     if lag_samples < 1:
         raise ValidationError("max_lag shorter than one sample")
     if lag_samples > n - 1:
-        raise ValidationError(
-            f"max_lag {max_lag} s exceeds the window duration {n / fs} s"
-        )
+        raise ValidationError(f"max_lag {max_lag} s exceeds the window duration {n / fs} s")
     return lag_samples
 
 
@@ -701,27 +695,6 @@ def ccf_decorrelation_time(ccf: CcfResult) -> float:
     return _envelope_crossing(folded / peak, fs, "CCF")
 
 
-def _window_starts(t0: float, hop: float, span: float, admits) -> np.ndarray:
-    """The sums ``t0``, ``t0 + hop``, ... of a ``t += hop`` loop, bit for bit
-    (``np.add.accumulate`` adds left to right), while ``admits`` holds.
-    ``admits`` takes arrays and holds on a prefix; ``span`` estimates its
-    reach past ``t0``, and the grid doubles while its last point, which
-    round-off can leave short, is still admitted.
-    """
-    count = max(int(span / hop), 0) + 2
-    while True:
-        t = np.full(count, hop)
-        t[0] = t0
-        np.add.accumulate(t, out=t)
-        if not admits(t[-1]):
-            return t[:int(np.argmin(admits(t)))]
-        if t[-1] == t[-2]:
-            raise ValidationError(
-                f"hop {hop!r} s is below the time resolution at t = {float(t[-1])!r} s"
-            )
-        count *= 2
-
-
 def _check_hop(hop, fs: float) -> None:
     """Refuse a scan hop that is not a finite number of at least one sample."""
     if not (_finite(hop) and hop > 0):
@@ -779,7 +752,13 @@ def running_window_ccf(
     duration = template.duration
     t0 = long_ts.t0
     reach = t0 + long_ts.duration + 0.5 / fs
-    starts = _window_starts(t0, hop, reach - duration - t0, lambda t: t + duration <= reach)
+    starts, t, hop = [], t0, float(hop)  # float64 sums, whatever the hop's type
+    while t + duration <= reach:
+        starts.append(t)
+        if t + hop == t:
+            raise ValidationError(f"hop {hop!r} s is below the time resolution at t = {t!r} s")
+        t += hop
+    starts = np.array(starts)
     usable = np.ones(starts.size, dtype=bool)
     for t_a, t_b in spans:
         usable &= ~((starts < t_b) & (starts + duration > t_a))

@@ -35,8 +35,8 @@ from .detection import (
 from .errors import GwxError, ValidationError
 from .lanes import run_lanes
 from .rng import derive_seed, rng_for
-from .series import (PowerSpectrum, TimeSeries, _finite, _json_text, _median, _write_csv,
-                     _write_json, load_strain, slice_window)
+from .series import (PowerSpectrum, TimeSeries, _finite, _json_text, _median, _samples,
+                     _write_csv, _write_json, load_strain, slice_window)
 from .simulation import (
     BurstSpec,
     PsdLine,
@@ -328,7 +328,7 @@ def _misfire_scenario(cfg: ScenarioConfig, spec: BurstSpec, *,
                               f" = [0, {block_len - spec.duration}] s, got {burst_at!r}")
     model = _psd_model(cfg)
     tpl, _ = _template_for(cfg, template_kind)
-    psd = _model_psd(model, int(round(block_len * cfg.fs)), cfg.fs)
+    psd = _model_psd(model, _samples(block_len, cfg.fs, "option 'block_len'"), cfg.fs)
     mf_cfg = MfConfig(block_len=block_len, mode=mf_mode, reweight_bins=chi2_bins, band=band)
     first_fig = {}
 
@@ -385,7 +385,7 @@ def _scenario_mf_bogus(cfg: ScenarioConfig, *, template_kind: str = "gw150914",
     """Bogus chirp templates injected into white noise, filtered against
     the ideal template with the chi-squared veto active."""
     tpl, _ = _template_for(cfg, template_kind)
-    n = int(round(block_len * cfg.fs))
+    n = _samples(block_len, cfg.fs, "option 'block_len'")
     psd = PowerSpectrum(df=1.0, values=np.full(int(cfg.fs / 2) + 1, 2.0 / cfg.fs))
     amp = ideal_rho / math.sqrt(sigma_norm(tpl.base, psd))
     mf_cfg = MfConfig(block_len=block_len, mode="circular", reweight_bins=chi2_bins)
@@ -559,7 +559,7 @@ def _scenario_window_compare(cfg: ScenarioConfig, *, template_kind: str = "gw150
     span = long_window + 1.0
     event = tpl.base.duration
     t_inj = span / 2.0
-    host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
+    host = TimeSeries(cfg.fs, 0.0, np.zeros(_samples(span, cfg.fs, "option 'long_window' + 1 s")))
     processed_tpl_full = _whiten_and_band(inject(host, tpl.base, t_inj), model, band)
     short_ref = slice_window(processed_tpl_full, t_inj, event)
     tau0 = decorrelation_time(short_ref)
@@ -600,10 +600,11 @@ def _scenario_whiten_distortion(cfg: ScenarioConfig, *, template_kind: str = "gw
     base_model = _psd_model(cfg)
     model = replace(base_model, lines=(PsdLine(60.0, line_ratio, 0.5),)
                     + tuple(l for l in base_model.lines if abs(l.f_hz - 60.0) > 1.0))
-    psd = _model_psd(model, int(round(span * cfg.fs)), cfg.fs)
+    n = _samples(span, cfg.fs, "option 'span'")
+    psd = _model_psd(model, n, cfg.fs)
     bands = detect_lines(psd)
     t_inj = span / 2.0
-    host = TimeSeries(cfg.fs, 0.0, np.zeros(int(round(span * cfg.fs))))
+    host = TimeSeries(cfg.fs, 0.0, np.zeros(n))
     embedded = inject(host, tpl.base, t_inj)
     reference = slice_window(butterworth_bandpass(embedded, band[0], band[1]),
                              t_inj, tpl.base.duration)
@@ -686,7 +687,7 @@ def _scenario_circular_artifact(cfg: ScenarioConfig, *, template_kind: str = "gw
     """Deterministic witness: a template straddling the block boundary
     produces a wrap-around peak in circular mode only."""
     tpl, _ = _template_for(cfg, template_kind)
-    n = int(round(block_len * cfg.fs))
+    n = _samples(block_len, cfg.fs, "option 'block_len'")
     nt = tpl.base.n
     psd = PowerSpectrum(df=1.0, values=np.full(int(cfg.fs / 2) + 1, 1.0))
     figures = {}

@@ -105,6 +105,15 @@ def _finite(x) -> bool:
         return False
 
 
+def _samples(seconds: float, fs: float, what: str) -> int:
+    """``round(seconds * fs)`` samples; refused, naming ``what``, past any array's reach."""
+    count = seconds * fs
+    if not abs(count) <= np.iinfo(np.intp).max // 16:
+        raise ValidationError(f"{what} of {seconds!r} s at {fs!r} Hz is {count!r} samples, "
+                              "more than an array can hold; shorten it or lower the rate")
+    return int(round(count))
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Uniformly sampled real sequence with sample rate and start time.
@@ -415,8 +424,8 @@ def slice_window(ts: TimeSeries, t_start: float, duration: float) -> TimeSeries:
     """
     if duration <= 0:
         raise ValidationError(f"window duration must be positive, got {duration}")
-    i0 = int(round((t_start - ts.t0) * ts.fs))
-    n = int(round(duration * ts.fs))
+    i0 = _samples(t_start - ts.t0, ts.fs, "window start")
+    n = _samples(duration, ts.fs, "window duration")
     if n < 1:
         raise ValidationError("window shorter than one sample")
     if i0 < 0 or i0 + n > ts.n:
@@ -443,7 +452,7 @@ def welch_psd(ts: TimeSeries, segment_len: int | None = None) -> PowerSpectrum:
     DC (and Nyquist for even N), then the mean over segments.
     """
     if segment_len is None:
-        segment_len = min(int(round(4 * ts.fs)), ts.n)
+        segment_len = min(_samples(4.0, ts.fs, "default Welch segment"), ts.n)
     n = int(segment_len)
     if n < 2:
         raise ValidationError("segment_len must be at least 2 samples")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import PowerSpectrum, TimeSeries, _check_rate, _finite, _read_json
+from .series import PowerSpectrum, TimeSeries, _check_rate, _finite, _read_json, _samples
 
 __all__ = [
     "PsdSegment",
@@ -201,7 +201,7 @@ def colored_noise(model: PsdModel, duration: float, fs: float, seed: int) -> Tim
     scaled by sqrt(PSD * n * fs / 2), inverse-transformed to time.  The
     DC bin is zeroed.  Deterministic per seed.
     """
-    n = int(round(duration * fs))
+    n = _samples(duration, fs, "noise duration")
     if n < 2:
         raise ValidationError("duration * fs must be at least 2 samples")
     rng = rng_for(seed)
@@ -266,7 +266,7 @@ def burst(spec: BurstSpec, ref: TimeSeries) -> TimeSeries:
     """``spec``'s burst scaled to ``sigma_ratio * std(ref)`` exactly: a sine
     under its envelope for ``sine_decay``, white Gaussian draws for ``awgn``."""
     fs = ref.fs
-    n = int(round(spec.duration * fs))
+    n = _samples(spec.duration, fs, "burst duration")
     if n < 2:
         raise ValidationError("burst shorter than two samples")
     if spec.kind == "awgn":
@@ -302,7 +302,7 @@ def line_interference(
     f = f0 + delta
     if f >= fs / 2:
         raise ValidationError(f"tone frequency {f} Hz is at or above Nyquist {fs / 2} Hz")
-    n = int(round(duration * fs))
+    n = _samples(duration, fs, "tone duration")
     if n < 2:
         raise ValidationError("duration * fs must be at least 2 samples")
     t = np.arange(n) / fs
@@ -312,7 +312,7 @@ def line_interference(
 def inject(host: TimeSeries, signal: TimeSeries, t_at: float) -> TimeSeries:
     """Add ``signal`` into ``host`` starting at time ``t_at`` (sample-snapped)."""
     _check_rate(host.fs, signal.fs, "host, signal")
-    j = int(round((t_at - host.t0) * host.fs))
+    j = _samples(t_at - host.t0, host.fs, "injection offset")
     if j < 0 or j + signal.n > host.n:
         raise ValidationError(
             f"injection at {t_at} s (+{signal.duration} s) overflows the host span "

@@ -18,8 +18,8 @@ import numpy as np
 from .conditioning import _zero_phase_plan
 from .errors import DegeneracyError, ParseError, ValidationError
 from .rng import rng_for
-from .series import (TimeSeries, _check_rate, _finite, _json_text, _read_json, _write_json,
-                     load_strain, save_strain)
+from .series import (TimeSeries, _check_rate, _finite, _json_text, _read_json, _samples,
+                     _write_json, load_strain, save_strain)
 
 __all__ = [
     "Template",
@@ -209,7 +209,7 @@ def _inspiral_chirp(
     and the envelope grows as ``f(t)`` under a cosine edge taper over 10%
     of the samples, 5% per edge.
     """
-    n = int(round(duration * fs))
+    n = _samples(duration, fs, "chirp duration")
     if n < 8:
         raise ValidationError("chirp too short for its sample rate")
     t = np.arange(n) / fs

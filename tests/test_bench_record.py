@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -50,10 +51,13 @@ class TestParseRun:
             bench_record.parse_run(json.dumps(_result(0.3)) + "\n", "cli-pipeline")
 
 
-def _run(label, seed, throughput, trace=0, rss=100.0):
-    return {"label": label, "workload": "cli-pipeline",
-            "meta": {"workload_seed": seed, "trace": trace},
-            "result": _result(throughput, rss)}
+def _run(label, seed, throughput, trace=0, rss=100.0, setup=None):
+    run = {"label": label, "workload": "cli-pipeline",
+           "meta": {"workload_seed": seed, "trace": trace},
+           "result": _result(throughput, rss)}
+    if setup is not None:
+        run["notes"] = {"setup_samples_s": setup}
+    return run
 
 
 class TestSummarize:
@@ -86,6 +90,23 @@ class TestSummarize:
         assert outside["op_ms_p50"]["worse_than_bound"] is False
         better = summary([(1.0, 100.0)] * 3, [(9.0, 10.0)] * 3)  # far better is no flag
         assert better["over_bound"] == []
+
+    def test_pools_the_set_up_samples_of_the_paired_runs(self):
+        runs = [_run("parent", 1, 0.2, setup=[0.10, 0.12, 0.18]),
+                _run("change", 1, 0.2, setup=[0.11, 0.13, 0.19]),
+                _run("parent", 2, 0.2, setup=[0.14, 0.16, 0.20]),
+                _run("change", 2, 0.2, setup=[0.12, 0.17, 0.21]),
+                _run("change", 3, 0.2, setup=[9.0, 9.0, 9.0]),           # unpaired
+                _run("parent", 1, 0.2, trace=1, setup=[9.0, 9.0, 9.0])]  # traced
+        pooled = bench_record.summarize(runs)["cli-pipeline"]["setup_samples_s"]
+        assert pooled["parent_count"] == pooled["change_count"] == 6
+        assert pooled["parent_quartiles"] == pytest.approx(
+            statistics.quantiles([0.10, 0.12, 0.18, 0.14, 0.16, 0.20], n=4))
+        assert pooled["change_quartiles"][1] == pytest.approx(0.15)
+
+    def test_no_pooled_set_up_without_the_samples(self):
+        runs = [_run("parent", 1, 0.2, setup=[0.1, 0.2, 0.3]), _run("change", 1, 0.2)]
+        assert "setup_samples_s" not in bench_record.summarize(runs)["cli-pipeline"]
 
 
 class TestDeclaredMetrics:

@@ -634,6 +634,41 @@ class TestChi2BandCount:
             capsys.readouterr().err
 
 
+class TestSampleCounts:
+    """A duration or rate whose sample count no array can hold exits 2 naming
+    the input, as does an input that needs more memory than the machine has."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["noise", "--duration", "1e300"], "noise duration of 1e+300 s at 4096.0 Hz"),
+        (["noise", "--duration", "1e300", "--fs", "1e300"],
+         "noise duration of 1e+300 s at 1e+300 Hz is inf samples"),
+        (["template", "--fs", "1e300"], "chirp duration of 0.2 s at 1e+300 Hz"),
+        (["bogus", "--fs", "1e300"], "chirp duration of 0.2 s at 1e+300 Hz"),
+        (["scenario", "run", "mf-bogus", "--fs", "1e300", "--trials", "1"],
+         "chirp duration of 0.2 s at 1e+300 Hz"),
+    ], ids=["duration", "duration-and-rate", "template", "bogus", "mf-bogus"])
+    def test_count_no_array_can_hold(self, tmp_path, capsys, argv, named):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert named in err and "more than an array can hold" in err
+
+    # 1e12 s at 4096 Hz: the first array, the noise model on 2.048e15 bins,
+    # is 14.6 PiB, past any 47-bit address space, so its allocation fails
+    # before any memory is touched
+    @pytest.mark.parametrize("argv, shrink", [
+        (["noise", "--duration", "1e12"], "--duration or --fs"),
+        (["scenario", "run", "running-baseline", "--trials", "1", "--config", "{config}"],
+         "a scenario's --fs or duration option"),
+    ], ids=["noise", "running-baseline"])
+    def test_input_past_the_machine_memory(self, tmp_path, capsys, argv, shrink):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"options": {"duration": 1e12}}))
+        argv = [a.format(config=config) for a in argv]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "the input needs more memory than this machine has" in err and shrink in err
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -284,6 +284,22 @@ class TestDetectLines:
         np.testing.assert_allclose([x.peak_ratio for x in a],
                                    [x.peak_ratio for x in b], rtol=1e-9)
 
+    def test_welch_psd_flags_the_model_lines_and_not_the_seismic_wall(self):
+        # README's `noise --seed 7` strain and its 4 s Welch PSD; symmetric
+        # or reflecting padding would add the wall as a band at 0.5 Hz
+        ts = colored_noise(default_detector_model(), 32.0, FS, seed=7)
+        bands = detect_lines(welch_psd(ts, segment_len=int(4 * FS)))
+        assert [(b.f_center, b.half_width) for b in bands] == [
+            (60.0, 0.625), (120.0, 0.625), (180.0, 0.625), (497.25, 0.625), (503.25, 0.625)]
+
+    @pytest.mark.parametrize("raised", [[0, 1, 2], [61, 62, 63]], ids=["first", "last"])
+    def test_short_run_at_an_edge_is_not_flagged(self, raised):
+        # the limit of edge padding: with k = 9 the edge copies make each
+        # raised bin's window a majority of raised values
+        values = np.ones(64)
+        values[raised] = 100.0
+        assert detect_lines(PowerSpectrum(df=1.0, values=values)) == []
+
     def test_threshold_validation(self):
         psd = PowerSpectrum(df=1.0, values=np.ones(64))
         with pytest.raises(ValidationError):

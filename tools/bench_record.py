@@ -24,6 +24,9 @@ end-to-end metric per label, the number of seeds on which ``change`` was
 better, the change of the median relative to the parent's, and whether
 that change is worse than the metric's bound.  Each metric's direction
 (``better``) and bound come from ``BENCHMARK.json``, which is only read.
+Next to ``setup_s``, the median of each run's fresh-interpreter set-up
+samples, ``setup_samples_s`` gives the quartiles and count of those
+samples pooled over the paired runs of each label.
 """
 
 from __future__ import annotations
@@ -89,13 +92,15 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]] | None = 
     """Per-label quartiles, seed-paired wins and the median's relative change
     of the untraced end-to-end ``metrics`` (by default those of
     ``BENCHMARK.json``); ``worse_than_bound`` flags a change median worse
-    than the parent median by more than the metric's bound."""
+    than the parent median by more than the metric's bound.  Where both
+    labels' runs note their set-up samples, ``setup_samples_s`` holds the
+    per-label quartiles and count of all of them pooled."""
     metrics = end_to_end_metrics() if metrics is None else metrics
     table = {}
     for run in runs:
         if run["meta"]["trace"] == 0:
             key = (run["workload"], run["meta"]["workload_seed"])
-            table.setdefault(key, {}).setdefault(run["label"], run["result"])
+            table.setdefault(key, {}).setdefault(run["label"], run)
     out = {}
     for workload in sorted({w for w, _ in table}):
         paired = [sides for (w, _), sides in sorted(table.items())
@@ -103,9 +108,10 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]] | None = 
         if not paired:
             continue
         entry = {"pairs": len(paired),
-                 "failed": {label: sum(s[label]["failed"] for s in paired) for label in LABELS}}
+                 "failed": {label: sum(s[label]["result"]["failed"] for s in paired)
+                            for label in LABELS}}
         for metric, (higher, bound) in metrics.items():
-            values = {label: [s[label]["metrics"][metric]["value"] for s in paired]
+            values = {label: [s[label]["result"]["metrics"][metric]["value"] for s in paired]
                       for label in LABELS}
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(values["parent"], values["change"]))
@@ -117,6 +123,13 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]] | None = 
                              "median_change": relative,
                              "worse_than_bound": (-relative if higher else relative) > bound}
         entry["over_bound"] = [m for m in metrics if entry[m]["worse_than_bound"]]
+        pooled = {label: [x for s in paired
+                          for x in s[label].get("notes", {}).get("setup_samples_s", [])]
+                  for label in LABELS}
+        if all(pooled.values()):
+            entry["setup_samples_s"] = {
+                **{f"{label}_quartiles": _quartiles(pooled[label]) for label in LABELS},
+                **{f"{label}_count": len(pooled[label]) for label in LABELS}}
         out[workload] = entry
     return out
 

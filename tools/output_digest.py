@@ -8,7 +8,8 @@ Usage, with the checkout under test on ``PYTHONPATH``:
 In a fresh temporary directory it runs ``gwxlab --help`` and each
 subcommand's ``--help`` at ``COLUMNS=80``, each ``gwxlab`` line of
 README.md's ``sh`` blocks in order, then every scenario at ``--trials 3
---seed 5``.
+--seed 5``, then ``EXTRA_SCENARIOS`` and ``EXTRA_COMMANDS``, which reach paths no README line
+or default scenario runs.
 Each command gets one line with its exit code and the sha256 of its
 standard output; after the README block and after each scenario come
 the sha256 of every file written so far, by path relative to the
@@ -19,6 +20,7 @@ digests ``diff`` clean; run it under ``taskset`` to fix the CPU count.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import shlex
@@ -34,6 +36,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GWXLAB = [sys.executable, "-c", "import sys; from gwxlab.cli import main; sys.exit(main())"]
 ENV = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
     os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)}
+# (scenario, options) runs and one README-strain command: the dense scan
+# grid (the default hop of 1 s lays out 61 windows), the cyclic-prefix
+# filter with 4 chi-squared bands, and the running median over the full
+# model grid
+EXTRA_SCENARIOS = [
+    ("running-baseline", {"hop": 0.01}),
+    ("mf-sine-misfire", {"mf_mode": "cyclic_prefix", "chi2_bins": 4}),
+]
+EXTRA_COMMANDS = [
+    ["whiten", "--strain", "run/injected.gwx", "--psd", "model", "--whiten", "localized",
+     "--name", "whitened-model.gwx", "--out", "run"],
+]
 
 
 def readme_commands() -> list[list[str]]:
@@ -100,6 +114,16 @@ def main() -> int:
             run(["scenario", "run", name, "--trials", "3", "--seed", "5",
                  "--out", "scenarios"], cwd)
             files(cwd, seen)
+        for k, (name, options) in enumerate(EXTRA_SCENARIOS):
+            config = f"options-{k}.json"
+            with open(os.path.join(cwd, config), "w", encoding="utf-8") as fh:
+                json.dump({"options": options}, fh)
+            run(["scenario", "run", name, "--trials", "3", "--seed", "5",
+                 "--config", config, "--out", f"options-{k}"], cwd)
+            files(cwd, seen)
+        for argv in EXTRA_COMMANDS:
+            run(argv, cwd)
+        files(cwd, seen)
     finally:
         shutil.rmtree(cwd)
     return 0
