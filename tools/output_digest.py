@@ -8,8 +8,8 @@ Usage, with the checkout under test on ``PYTHONPATH``:
 In a fresh temporary directory it runs ``gwxlab --help`` and each
 subcommand's ``--help`` at ``COLUMNS=80``, each ``gwxlab`` line of
 README.md's ``sh`` blocks in order, then every scenario at ``--trials 3
---seed 5``, then ``EXTRA_SCENARIOS`` and ``EXTRA_COMMANDS``, which reach paths no README line
-or default scenario runs.
+--seed 5``, then ``EXTRA_SCENARIOS`` and ``EXTRA_COMMANDS``, which reach
+paths that no README line or default scenario runs.
 Each command gets one line with its exit code and the sha256 of its
 standard output; after the README block and after each scenario come
 the sha256 of every file written so far, by path relative to the
@@ -37,7 +37,7 @@ GWXLAB = [sys.executable, "-c", "import sys; from gwxlab.cli import main; sys.ex
 ENV = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
     os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)}
 # (scenario, options) runs and one README-strain command: the dense scan
-# grid (the default hop of 1 s lays out 61 windows), the cyclic-prefix
+# grid (the default hop of 1 s keeps 60 windows), the cyclic-prefix
 # filter with 4 chi-squared bands, and the running median over the full
 # model grid
 EXTRA_SCENARIOS = [
